@@ -1,15 +1,19 @@
 """Finitely generated abelian groups and exact integer linear algebra.
 
-The workhorse is Smith normal form with full transform tracking
-(U, D, V and their inverses), from which kernels, cokernels, lattice
-bases and subquotients all follow.  Groups are always reduced to
-invariant-factor canonical form, so equality of ``FGAbelianGroup``
-values is isomorphism.
+The workhorse is Smith normal form.  ``snf`` computes the diagonal and
+records the elementary row and column operations that produced it; the
+transforms U, V and their inverses are built from that record only when
+a caller reads them, so cokernels and ranks cost a diagonal and nothing
+more.  A subquotient factors its numerator once and reads the
+denominator's coordinates off the recorded row operations.  Groups are
+always reduced to invariant-factor canonical form, so equality of
+``FGAbelianGroup`` values is isomorphism.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from fractions import Fraction
 from math import gcd
 from typing import Iterable, Sequence
@@ -34,14 +38,15 @@ class IntMatrix:
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence[int]], cols: int | None = None) -> "IntMatrix":
-        rows = [tuple(int(x) for x in r) for r in rows]
+        rows = [tuple(map(int, r)) for r in rows]
         if cols is None:
             cols = len(rows[0]) if rows else 0
         return cls(len(rows), cols, tuple(rows))
 
     @classmethod
     def identity(cls, n: int) -> "IntMatrix":
-        return cls(n, n, tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n)))
+        zero = (0,) * n
+        return cls(n, n, tuple(zero[:i] + (1,) + zero[i + 1:] for i in range(n)))
 
     @classmethod
     def zeros(cls, rows: int, cols: int) -> "IntMatrix":
@@ -56,13 +61,16 @@ class IntMatrix:
             raise ValueError(
                 f"shape mismatch: {self.rows}x{self.cols} @ {other.rows}x{other.cols}"
             )
+        # Sparse: only nonzero pairs are multiplied.
+        nonzeros = [[(j, b) for j, b in enumerate(row) if b] for row in other.entries]
         out = []
-        for i in range(self.rows):
-            srow = self.entries[i]
-            row = []
-            for j in range(other.cols):
-                row.append(sum(srow[k] * other.entries[k][j] for k in range(self.cols)))
-            out.append(tuple(row))
+        for srow in self.entries:
+            acc = [0] * other.cols
+            for a, brow in zip(srow, nonzeros):
+                if a:
+                    for j, b in brow:
+                        acc[j] += a * b
+            out.append(tuple(acc))
         return IntMatrix(self.rows, other.cols, tuple(out))
 
     def __add__(self, other: "IntMatrix") -> "IntMatrix":
@@ -103,9 +111,6 @@ class IntMatrix:
         return IntMatrix(
             self.rows, stop - start, tuple(row[start:stop] for row in self.entries)
         )
-
-    def col(self, j: int) -> tuple[int, ...]:
-        return tuple(row[j] for row in self.entries)
 
     def diagonal(self) -> tuple[int, ...]:
         return tuple(self.entries[i][i] for i in range(min(self.rows, self.cols)))
@@ -148,12 +153,6 @@ def hstack(a: IntMatrix, b: IntMatrix) -> IntMatrix:
     )
 
 
-def vstack(a: IntMatrix, b: IntMatrix) -> IntMatrix:
-    if a.cols != b.cols:
-        raise ValueError("column count mismatch in vstack")
-    return IntMatrix(a.rows + b.rows, a.cols, a.entries + b.entries)
-
-
 def block_diag(blocks: Sequence[IntMatrix]) -> IntMatrix:
     rows = sum(b.rows for b in blocks)
     cols = sum(b.cols for b in blocks)
@@ -173,81 +172,117 @@ def block_diag(blocks: Sequence[IntMatrix]) -> IntMatrix:
 # ---------------------------------------------------------------------------
 
 
+class LatticeSolveError(ValueError):
+    """A vector lies outside the lattice it was solved against."""
+
+
+def _replay(ops: Sequence[tuple[int, int, int]], m: IntMatrix, inverse: bool = False) -> IntMatrix:
+    """m left-multiplied by the product of recorded row operations, or by its inverse.
+
+    ``(i, k, q)`` is row i += q * row k; with q == 0 it swaps rows i and k,
+    and with i == k it negates row i.
+    """
+    a = [list(row) for row in m.entries]
+    for i, k, q in reversed(ops) if inverse else ops:
+        if i == k:
+            a[i] = [-x for x in a[i]]
+        elif q == 0:
+            a[i], a[k] = a[k], a[i]
+        elif any(a[k]):
+            q = -q if inverse else q
+            a[i] = [x + q * y for x, y in zip(a[i], a[k])]
+    return IntMatrix(m.rows, m.cols, tuple(map(tuple, a)))
+
+
 @dataclass(frozen=True)
 class SmithNormalForm:
-    """M = U @ D @ V with U, V unimodular and D a nonnegative divisor chain."""
+    """M = U @ D @ V with U, V unimodular and D a nonnegative divisor chain.
 
-    U: IntMatrix
-    D: IntMatrix
-    V: IntMatrix
-    Uinv: IntMatrix
-    Vinv: IntMatrix
+    Holds the diagonal of D and the elementary operations that produced it:
+    ``row_ops`` act on the rows of M, ``col_ops`` on its columns in the same
+    ``(i, k, q)`` encoding as :func:`_replay` (column i += q * column k).
+    D, U, V, Uinv and Vinv are built from this record when first read.
+    """
+
+    rows: int
+    cols: int
+    diag: tuple[int, ...]
+    row_ops: tuple[tuple[int, int, int], ...]
+    col_ops: tuple[tuple[int, int, int], ...]
 
     def diagonal(self) -> tuple[int, ...]:
-        return self.D.diagonal()
+        return self.diag
+
+    @property
+    def rank(self) -> int:
+        return sum(1 for x in self.diag if x)
+
+    @cached_property
+    def D(self) -> IntMatrix:
+        rows, cols = self.rows, self.cols
+        return IntMatrix.from_rows(
+            [[self.diag[i] if i == j else 0 for j in range(cols)] for i in range(rows)], cols
+        )
+
+    @cached_property
+    def Uinv(self) -> IntMatrix:
+        return _replay(self.row_ops, IntMatrix.identity(self.rows))
+
+    @cached_property
+    def U(self) -> IntMatrix:
+        return _replay(self.row_ops, IntMatrix.identity(self.rows), inverse=True)
+
+    @cached_property
+    def Vinv(self) -> IntMatrix:
+        return _replay(self.col_ops, IntMatrix.identity(self.cols)).transpose()
+
+    @cached_property
+    def V(self) -> IntMatrix:
+        return _replay(self.col_ops, IntMatrix.identity(self.cols), inverse=True).transpose()
+
+    def span_coordinates(self, y: IntMatrix) -> IntMatrix:
+        """X with B @ X = y, B the basis d_i * U[:, i] (d_i != 0) of M's column span.
+
+        Reads Uinv @ y off the row operations, without forming Uinv;
+        raises LatticeSolveError when a column of y lies outside the span.
+        """
+        if y.rows != self.rows:
+            raise ValueError("shape mismatch in span_coordinates")
+        c = _replay(self.row_ops, y).entries
+        scale = self.diag[: self.rank]
+        if any(map(any, c[len(scale):])) or any(
+            x % d for d, row in zip(scale, c) if d != 1 for x in row
+        ):
+            raise LatticeSolveError("target outside the column span")
+        coords = (row if d == 1 else tuple(x // d for x in row) for d, row in zip(scale, c))
+        return IntMatrix(len(scale), y.cols, tuple(coords))
 
 
 def snf(m: IntMatrix) -> SmithNormalForm:
-    """Smith normal form with tracked unimodular transforms.
+    """Smith normal form, recording the elementary operations instead of the transforms.
 
     Pivot policy: the nonzero entry of minimal absolute value in the
     working submatrix, ties broken by row-major position.  This bounds
-    intermediate entry growth and makes the output deterministic.
+    intermediate entry growth and makes the output deterministic.  Rows
+    and columns before the pivot are already cleared, so every update
+    touches only the nonzero entries of the pivot row or column.
     """
     rows, cols = m.rows, m.cols
     d = [list(row) for row in m.entries]
-    u = [[1 if i == j else 0 for j in range(rows)] for i in range(rows)]
-    uinv = [row[:] for row in u]
-    v = [[1 if i == j else 0 for j in range(cols)] for i in range(cols)]
-    vinv = [row[:] for row in v]
-
-    # Maintain m = U D V; every elementary op on D updates the transforms.
-    def row_add(i: int, k: int, q: int) -> None:  # row i += q * row k
-        di, dk = d[i], d[k]
-        for j in range(cols):
-            di[j] += q * dk[j]
-        for r in range(rows):
-            u[r][k] -= q * u[r][i]
-        ui, uk = uinv[i], uinv[k]
-        for j in range(rows):
-            ui[j] += q * uk[j]
-
-    def row_swap(i: int, k: int) -> None:
-        d[i], d[k] = d[k], d[i]
-        for r in range(rows):
-            u[r][i], u[r][k] = u[r][k], u[r][i]
-        uinv[i], uinv[k] = uinv[k], uinv[i]
-
-    def row_negate(i: int) -> None:
-        d[i] = [-x for x in d[i]]
-        for r in range(rows):
-            u[r][i] = -u[r][i]
-        uinv[i] = [-x for x in uinv[i]]
-
-    def col_add(j: int, k: int, q: int) -> None:  # col j += q * col k
-        for r in range(rows):
-            d[r][j] += q * d[r][k]
-        vj, vk = v[j], v[k]
-        for c in range(cols):
-            vk[c] -= q * vj[c]
-        for r in range(cols):
-            vinv[r][j] += q * vinv[r][k]
-
-    def col_swap(j: int, k: int) -> None:
-        for r in range(rows):
-            d[r][j], d[r][k] = d[r][k], d[r][j]
-        v[j], v[k] = v[k], v[j]
-        for r in range(cols):
-            vinv[r][j], vinv[r][k] = vinv[r][k], vinv[r][j]
+    row_ops: list[tuple[int, int, int]] = []
+    col_ops: list[tuple[int, int, int]] = []
 
     def find_pivot(k: int) -> tuple[int, int] | None:
         best = None
-        best_abs = None
+        best_abs = 0
         for i in range(k, rows):
-            for j in range(k, cols):
-                val = d[i][j]
-                if val != 0 and (best_abs is None or abs(val) < best_abs):
-                    best, best_abs = (i, j), abs(val)
+            tail = d[i][k:]
+            low = min(map(abs, filter(None, tail)), default=0)
+            if low and (best is None or low < best_abs):
+                j = next(j for j, x in enumerate(tail) if abs(x) == low)
+                best, best_abs = (i, k + j), low
+                if low == 1:
+                    break
         return best
 
     k = 0
@@ -259,61 +294,61 @@ def snf(m: IntMatrix) -> SmithNormalForm:
         while True:
             pi, pj = piv
             if pi != k:
-                row_swap(k, pi)
+                d[k], d[pi] = d[pi], d[k]
+                row_ops.append((k, pi, 0))
             if pj != k:
-                col_swap(k, pj)
+                for r in range(k, rows):
+                    row = d[r]
+                    row[k], row[pj] = row[pj], row[k]
+                col_ops.append((k, pj, 0))
             if d[k][k] < 0:
-                row_negate(k)
+                d[k] = [-x for x in d[k]]
+                row_ops.append((k, k, -1))
             # Clear row/column k modulo the pivot; leftovers shrink it.
+            dk = d[k]
+            p = dk[k]
             dirty = False
+            prow = [(j, x) for j, x in enumerate(dk) if x]
             for i in range(k + 1, rows):
-                if d[i][k]:
-                    q = d[i][k] // d[k][k]
+                di = d[i]
+                if di[k]:
+                    q = di[k] // p
                     if q:
-                        row_add(i, k, -q)
-                    if d[i][k]:
+                        for j, x in prow:
+                            di[j] -= q * x
+                        row_ops.append((i, k, -q))
+                    if di[k]:
                         dirty = True
+            pcol = [(r, d[r][k]) for r in range(k, rows) if d[r][k]]
             for j in range(k + 1, cols):
-                if d[k][j]:
-                    q = d[k][j] // d[k][k]
+                if dk[j]:
+                    q = dk[j] // p
                     if q:
-                        col_add(j, k, -q)
-                    if d[k][j]:
+                        for r, x in pcol:
+                            d[r][j] -= q * x
+                        col_ops.append((j, k, -q))
+                    if dk[j]:
                         dirty = True
-            if dirty:
-                best = None
-                best_abs = None
-                for i in range(k, rows):
-                    if d[i][k] and (best_abs is None or abs(d[i][k]) < best_abs):
-                        best, best_abs = (i, k), abs(d[i][k])
-                for j in range(k, cols):
-                    if d[k][j] and (best_abs is None or abs(d[k][j]) < best_abs):
-                        best, best_abs = (k, j), abs(d[k][j])
-                piv = best
+            if dirty:  # the smallest leftover in row or column k, rows first
+                leftovers = [(i, k) for i in range(k, rows) if d[i][k]]
+                leftovers += [(k, j) for j in range(k, cols) if dk[j]]
+                piv = min(leftovers, key=lambda ij: abs(d[ij[0]][ij[1]]))
                 continue
             # Divisor-chain enforcement: fold in any entry the pivot misses.
-            p = d[k][k]
             offender = None
-            for i in range(k + 1, rows):
-                for j in range(k + 1, cols):
-                    if d[i][j] % p:
-                        offender = i
-                        break
-                if offender is not None:
-                    break
+            if p != 1:
+                offender = next(
+                    (i for i in range(k + 1, rows) if any(map(p.__rmod__, d[i][k + 1:]))), None
+                )
             if offender is None:
                 break
-            row_add(k, offender, 1)
+            d[k] = [x + y for x, y in zip(dk, d[offender])]
+            row_ops.append((k, offender, 1))
             piv = (k, k)
         k += 1
 
-    return SmithNormalForm(
-        U=IntMatrix.from_rows(u, rows),
-        D=IntMatrix.from_rows(d, cols),
-        V=IntMatrix.from_rows(v, cols),
-        Uinv=IntMatrix.from_rows(uinv, rows),
-        Vinv=IntMatrix.from_rows(vinv, cols),
-    )
+    diag = tuple(d[i][i] for i in range(limit))
+    return SmithNormalForm(rows, cols, diag, tuple(row_ops), tuple(col_ops))
 
 
 # ---------------------------------------------------------------------------
@@ -321,28 +356,20 @@ def snf(m: IntMatrix) -> SmithNormalForm:
 # ---------------------------------------------------------------------------
 
 
-class LatticeSolveError(ValueError):
-    """A vector lies outside the lattice it was solved against."""
-
-
 def kernel_basis(m: IntMatrix) -> IntMatrix:
     """Columns form a basis of the integer kernel of m."""
     s = snf(m)
-    diag = s.diagonal()
-    free = [j for j in range(m.cols) if j >= len(diag) or diag[j] == 0]
-    cols = [s.Vinv.col(j) for j in free]
-    return IntMatrix(
-        m.cols, len(cols), tuple(tuple(c[i] for c in cols) for i in range(m.cols))
-    )
+    # Rows of the replayed column operations are the columns of Vinv.
+    vinv_t = _replay(s.col_ops, IntMatrix.identity(m.cols))
+    return vinv_t.take_rows(s.rank, m.cols).transpose()
 
 
 def column_span_basis(m: IntMatrix) -> IntMatrix:
     """Columns form a basis of the lattice spanned by the columns of m."""
     s = snf(m)
-    diag = s.diagonal()
-    cols = [tuple(dj * x for x in s.U.col(j)) for j, dj in enumerate(diag) if dj != 0]
+    scale = s.diag[: s.rank]
     return IntMatrix(
-        m.rows, len(cols), tuple(tuple(c[i] for c in cols) for i in range(m.rows))
+        m.rows, s.rank, tuple(tuple(d * x for d, x in zip(scale, row)) for row in s.U.entries)
     )
 
 
@@ -351,30 +378,8 @@ def solve_exact(a: IntMatrix, y: IntMatrix) -> IntMatrix:
     if a.rows != y.rows:
         raise ValueError("shape mismatch in solve_exact")
     s = snf(a)
-    c = s.Uinv @ y
-    diag = s.diagonal()
-    w = [[0] * y.cols for _ in range(a.cols)]
-    for i in range(a.rows):
-        di = diag[i] if i < len(diag) else 0
-        for j in range(y.cols):
-            ci = c.entries[i][j]
-            if di == 0:
-                if ci != 0:
-                    raise LatticeSolveError("target outside the column span")
-            else:
-                if ci % di:
-                    raise LatticeSolveError("target outside the column span")
-                if i < a.cols:
-                    w[i][j] = ci // di
-    return s.Vinv @ IntMatrix.from_rows(w, y.cols)
-
-
-def in_column_span(a: IntMatrix, y: IntMatrix) -> bool:
-    try:
-        solve_exact(a, y)
-        return True
-    except LatticeSolveError:
-        return False
+    w = s.span_coordinates(y)
+    return s.Vinv.take_cols(0, w.rows) @ w
 
 
 def rational_rank(rows: Sequence[Sequence[Fraction | int]]) -> int:
@@ -508,19 +513,14 @@ def kernel_rank(m: IntMatrix) -> int:
 def subquotient(numerator: IntMatrix, denominator: IntMatrix) -> FGAbelianGroup:
     """The group (column span of numerator) / (column span of denominator).
 
-    The denominator lattice must be contained in the numerator lattice.
+    The denominator lattice must be contained in the numerator lattice;
+    LatticeSolveError otherwise.  The numerator is factored once; the
+    denominator's coordinates in its column-span basis then present the
+    group, whose invariant factors need only a diagonal SNF.
     """
     if numerator.rows != denominator.rows:
         raise ValueError("ambient rank mismatch")
-    basis = column_span_basis(numerator)
-    if basis.cols == 0:
-        if not denominator.is_zero:
-            raise LatticeSolveError("denominator not contained in numerator")
-        return FGAbelianGroup.trivial()
-    coords = solve_exact(basis, denominator)
-    diag = snf(coords).diagonal()
-    nonzero = [x for x in diag if x != 0]
-    return FGAbelianGroup.from_invariants(basis.cols - len(nonzero), nonzero)
+    return cokernel(snf(numerator).span_coordinates(denominator))
 
 
 class CompositionNotZero(ValueError):

@@ -67,6 +67,8 @@ def _load_datum(payload: bytes) -> ModuleDatum:
         obj = json.loads(payload.decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise InputError(f"malformed JSON: {exc}") from None
+    except RecursionError:
+        raise InputError("input: JSON nested too deeply to parse") from None
     if not isinstance(obj, dict):
         raise InputError("input: expected a JSON object")
     unknown = set(obj) - {"schema", "datum"}

@@ -25,14 +25,13 @@ from .abgroup import (
     GradedGroup,
     IntMatrix,
     LatticeSolveError,
+    SmithNormalForm,
     block_diag,
-    column_span_basis,
     cokernel,
     hstack,
     kernel_basis,
     rational_rank,
-    solve_exact,
-    subquotient,
+    snf,
 )
 from .exterior import Covector, exterior_basis
 from .ring import PolyMatrix
@@ -102,8 +101,13 @@ class ModuleDatum:
                     raise DatumError(
                         f"endos[{i}].{parity} has shape {mat.rows}x{mat.cols}, expected {g}x{g}"
                     )
-        self._validate_well_defined()
-        self._validate_commuting()
+        # Each relation lattice is factored once and serves every membership test.
+        lattices = {}
+        for parity in PARITIES:
+            rel = self.presentation(parity).relation_columns()
+            lattices[parity] = snf(rel) if rel.cols else None
+        self._validate_well_defined(lattices)
+        self._validate_commuting(lattices)
 
     @property
     def n(self) -> int:
@@ -115,27 +119,23 @@ class ModuleDatum:
     def group(self) -> GradedGroup:
         return GradedGroup(self.even.group(), self.odd.group())
 
-    def _lattice_basis(self, parity: str) -> IntMatrix:
-        return column_span_basis(self.presentation(parity).relation_columns())
-
-    def _validate_well_defined(self) -> None:
+    def _validate_well_defined(self, lattices: dict[str, SmithNormalForm | None]) -> None:
         for parity in PARITIES:
-            rel = self.presentation(parity).relation_columns()
-            if rel.cols == 0:
+            lattice = lattices[parity]
+            if lattice is None:
                 continue
-            basis = column_span_basis(rel)
+            rel = self.presentation(parity).relation_columns()
             for i, e in enumerate(self.endos):
                 try:
-                    solve_exact(basis, e.part(parity) @ rel)
+                    lattice.span_coordinates(e.part(parity) @ rel)
                 except LatticeSolveError:
                     raise DatumError(
                         f"endos[{i}].{parity} does not preserve the relation lattice"
                     ) from None
 
-    def _validate_commuting(self) -> None:
+    def _validate_commuting(self, lattices: dict[str, SmithNormalForm | None]) -> None:
         for parity in PARITIES:
-            rel = self.presentation(parity).relation_columns()
-            basis = column_span_basis(rel) if rel.cols else None
+            lattice = lattices[parity]
             for i in range(len(self.endos)):
                 for j in range(i + 1, len(self.endos)):
                     a = self.endos[i].part(parity)
@@ -143,12 +143,12 @@ class ModuleDatum:
                     comm = a @ b - b @ a
                     if comm.is_zero:
                         continue
-                    if basis is None:
+                    if lattice is None:
                         raise DatumError(
                             f"endos[{i}] and endos[{j}] do not commute ({parity} part)"
                         )
                     try:
-                        solve_exact(basis, comm)
+                        lattice.span_coordinates(comm)
                     except LatticeSolveError:
                         raise DatumError(
                             f"endos[{i}] and endos[{j}] do not commute ({parity} part)"
@@ -178,14 +178,16 @@ class ModuleDatum:
 
     @classmethod
     def from_json_dict(cls, obj: dict) -> "ModuleDatum":
-        def pres(d: dict, where: str) -> Presentation:
+        def pres(d: object, where: str) -> Presentation:
+            if not isinstance(d, dict):
+                raise DatumError(f"{where}: expected an object")
             unknown = set(d) - {"free_rank", "relations"}
             if unknown:
                 raise DatumError(f"{where}: unknown field {sorted(unknown)[0]!r}")
             if "free_rank" not in d:
                 raise DatumError(f"{where}.free_rank: missing")
             g = d["free_rank"]
-            if not isinstance(g, int) or g < 0:
+            if type(g) is not int or g < 0:
                 raise DatumError(f"{where}.free_rank: expected a nonnegative integer")
             rel = d.get("relations", [])
             if not isinstance(rel, list):
@@ -193,7 +195,7 @@ class ModuleDatum:
             rows = []
             for r, row in enumerate(rel):
                 if not isinstance(row, list) or len(row) != g or not all(
-                    isinstance(x, int) for x in row
+                    type(x) is int for x in row
                 ):
                     raise DatumError(
                         f"{where}.relations[{r}]: expected a row of {g} integers"
@@ -211,7 +213,7 @@ class ModuleDatum:
         odd = pres(obj["odd"], "datum.odd")
         if not isinstance(obj["endos"], list):
             raise DatumError("datum.endos: expected a list")
-        if not isinstance(obj["n"], int) or obj["n"] != len(obj["endos"]):
+        if type(obj["n"]) is not int or obj["n"] != len(obj["endos"]):
             raise DatumError("datum.n: must equal the number of endomorphisms")
 
         def square(mat: object, size: int, where: str) -> IntMatrix:
@@ -220,7 +222,7 @@ class ModuleDatum:
             rows = []
             for r, row in enumerate(mat):
                 if not isinstance(row, list) or len(row) != size or not all(
-                    isinstance(x, int) for x in row
+                    type(x) is int for x in row
                 ):
                     raise DatumError(f"{where}[{r}]: expected a row of {size} integers")
                 rows.append(row)
@@ -255,7 +257,9 @@ class KoszulComplex:
 
     ``symbolic_diffs[j-1]`` (or ``even_diffs``/``odd_diffs``) holds d_j.
     In datum mode consecutive differentials compose to zero modulo the
-    spot relation lattice (exactly zero when the input group is free).
+    spot relation lattice (exactly zero when the input group is free), and
+    ``even_cycles[d]``/``odd_cycles[d]`` hold the factored cycle lattice at
+    spot d, which both its cohomology and its kernel group are read from.
     """
 
     n: int
@@ -266,6 +270,8 @@ class KoszulComplex:
     datum: ModuleDatum | None = None
     even_diffs: tuple[IntMatrix, ...] = ()
     odd_diffs: tuple[IntMatrix, ...] = ()
+    even_cycles: tuple[SmithNormalForm, ...] = ()
+    odd_cycles: tuple[SmithNormalForm, ...] = ()
 
     def differential(self, j: int, parity: str | None = None):
         """d_j: spot j -> spot j-1, j in 1..n."""
@@ -274,6 +280,10 @@ class KoszulComplex:
         if self.mode == "symbolic":
             return self.symbolic_diffs[j - 1]
         return (self.even_diffs if parity == "even" else self.odd_diffs)[j - 1]
+
+    def cycles(self, d: int, parity: str) -> SmithNormalForm:
+        """The factored cycle lattice at spot d of a datum-mode complex."""
+        return (self.even_cycles if parity == "even" else self.odd_cycles)[d]
 
 
 def build_symbolic(v: Covector) -> KoszulComplex:
@@ -320,10 +330,24 @@ def spot_relations(datum: ModuleDatum, d: int, parity: str) -> IntMatrix:
     return block_diag([rel] * copies)
 
 
+def _cycle_lattice(
+    datum: ModuleDatum, diffs: tuple[IntMatrix, ...], d: int, parity: str
+) -> SmithNormalForm:
+    """Factored lattice {x in spot d : d_d(x) in the target relations} plus own relations."""
+    own_rel = spot_relations(datum, d, parity)
+    if d == 0:
+        cycles = IntMatrix.identity(own_rel.rows)
+    else:
+        target_rel = spot_relations(datum, d - 1, parity)
+        cycles = kernel_basis(hstack(diffs[d - 1], target_rel)).take_rows(0, own_rel.rows)
+    return snf(hstack(cycles, own_rel))
+
+
 def build_datum(datum: ModuleDatum) -> KoszulComplex:
     """Koszul complex of contraction against (1 - beta_1, ..., 1 - beta_n)."""
     n = datum.n
     per_parity: dict[str, tuple[IntMatrix, ...]] = {}
+    cycles: dict[str, tuple[SmithNormalForm, ...]] = {}
     for parity in PARITIES:
         g = datum.presentation(parity).free_rank
         blocks = [
@@ -339,12 +363,13 @@ def build_datum(datum: ModuleDatum) -> KoszulComplex:
             if rel.cols == 0:
                 raise AssertionError("consecutive differentials do not compose to zero")
             try:
-                solve_exact(column_span_basis(rel), prod)
+                snf(rel).span_coordinates(prod)
             except LatticeSolveError:
                 raise AssertionError(
                     "consecutive differentials do not compose to zero modulo relations"
                 ) from None
         per_parity[parity] = diffs
+        cycles[parity] = tuple(_cycle_lattice(datum, diffs, d, parity) for d in range(n + 1))
     return KoszulComplex(
         n=n,
         mode="datum",
@@ -352,6 +377,8 @@ def build_datum(datum: ModuleDatum) -> KoszulComplex:
         datum=datum,
         even_diffs=per_parity["even"],
         odd_diffs=per_parity["odd"],
+        even_cycles=cycles["even"],
+        odd_cycles=cycles["odd"],
     )
 
 
@@ -360,22 +387,11 @@ def build_datum(datum: ModuleDatum) -> KoszulComplex:
 # ---------------------------------------------------------------------------
 
 
-def _cycle_span(cx: KoszulComplex, d: int, parity: str) -> IntMatrix:
-    """Columns spanning {x in spot d : d_d(x) lies in the target relation lattice}."""
-    datum = cx.datum
-    assert datum is not None
-    g = datum.presentation(parity).free_rank
-    dim = comb(cx.n, d) * g
-    if d == 0:
-        return IntMatrix.identity(dim)
-    dmat = cx.differential(d, parity)
-    target_rel = spot_relations(datum, d - 1, parity)
-    ker = kernel_basis(hstack(dmat, target_rel))
-    return ker.take_rows(0, dim)
-
-
 def datum_spot_cohomology(cx: KoszulComplex, d: int) -> GradedGroup:
-    """Homology at spot d of a datum-mode complex, one group per parity."""
+    """Homology at spot d of a datum-mode complex, one group per parity.
+
+    The cycle lattice modulo the incoming image and the spot relations.
+    """
     if cx.mode != "datum":
         raise ValueError("datum-mode complex required")
     datum = cx.datum
@@ -383,14 +399,12 @@ def datum_spot_cohomology(cx: KoszulComplex, d: int) -> GradedGroup:
     parts = {}
     for parity in PARITIES:
         own_rel = spot_relations(datum, d, parity)
-        cycles = _cycle_span(cx, d, parity)
-        numerator = hstack(cycles, own_rel)
         if d < cx.n:
             incoming = cx.differential(d + 1, parity)
             denominator = hstack(incoming, own_rel)
         else:
             denominator = own_rel
-        parts[parity] = subquotient(numerator, denominator)
+        parts[parity] = cokernel(cx.cycles(d, parity).span_coordinates(denominator))
     return GradedGroup(parts["even"], parts["odd"])
 
 
@@ -409,8 +423,7 @@ def datum_spot_kernel(cx: KoszulComplex, d: int) -> GradedGroup:
     parts = {}
     for parity in PARITIES:
         own_rel = spot_relations(datum, d, parity)
-        cycles = _cycle_span(cx, d, parity)
-        parts[parity] = subquotient(hstack(cycles, own_rel), own_rel)
+        parts[parity] = cokernel(cx.cycles(d, parity).span_coordinates(own_rel))
     return GradedGroup(parts["even"], parts["odd"])
 
 

@@ -121,6 +121,45 @@ class TestValidation:
         assert code == 2
         assert "odd" in err
 
+    def test_boolean_free_rank_rejected(self):
+        bad = {
+            "schema": 1,
+            "datum": {
+                "n": 1,
+                "even": {"free_rank": True, "relations": []},
+                "odd": {"free_rank": 0, "relations": []},
+                "endos": [{"even": [[True]], "odd": []}],
+            },
+        }
+        code, out, err = run_cli(["rank1", "--format", "json"], bad)
+        assert code == 2
+        assert out == ""
+        assert "datum.even.free_rank" in err
+
+    def test_boolean_matrix_entry_rejected(self):
+        bad = json.loads(json.dumps(ROTATION_DATUM))
+        bad["datum"]["endos"][0]["even"] = [[True]]
+        code, _, err = run_cli(["rank1"], bad)
+        assert code == 2
+        assert "datum.endos[0].even" in err
+
+    def test_parity_not_an_object(self):
+        bad = json.loads(json.dumps(ROTATION_DATUM))
+        bad["datum"]["odd"] = 5
+        code, _, err = run_cli(["rank1"], bad)
+        assert code == 2
+        assert "datum.odd" in err
+
+    def test_deeply_nested_json(self):
+        proc = subprocess.run(
+            [sys.executable, "-m", "pvtower.cli", "tower"],
+            input=b"[" * 200_000,
+            capture_output=True,
+        )
+        assert proc.returncode == 2
+        assert b"nested too deeply" in proc.stderr
+        assert b"Traceback" not in proc.stderr
+
 
 class TestTowerCommand:
     def test_round_trip_schema(self):

@@ -1,0 +1,104 @@
+"""Differential tests of snf, cokernel and subquotient against sympy.
+
+sympy's normal forms share no code with pvtower.  Inputs stay at 6x6
+with entries up to 9: on larger rank-deficient matrices sympy's
+invariant factors can take minutes.
+"""
+
+import hypothesis.strategies as st
+from hypothesis import example, given
+from sympy import ZZ, Matrix
+from sympy.matrices.normalforms import (
+    hermite_normal_form,
+    invariant_factors,
+    smith_normal_form,
+)
+
+from pvtower.abgroup import FGAbelianGroup, IntMatrix, LatticeSolveError, cokernel, snf, subquotient
+
+from conftest import int_matrix_strategy
+from test_abgroup import assert_snf_contract
+
+
+def chain(factors) -> tuple[int, ...]:
+    """Absolute values as a divisor chain, zeros last."""
+    return tuple(sorted((abs(int(x)) for x in factors), key=lambda x: (x == 0, x)))
+
+
+def sympy_group(m: Matrix) -> FGAbelianGroup:
+    """Z^rows modulo the column span of m, from sympy's invariant factors."""
+    factors = chain(invariant_factors(m, domain=ZZ)) if m.cols else ()
+    rank = sum(1 for x in factors if x)
+    return FGAbelianGroup(m.rows - rank, tuple(x for x in factors if x > 1))
+
+
+def sympy_subquotient(num: Matrix, den: Matrix) -> FGAbelianGroup | None:
+    """span(num) / span(den), or None when den leaves span(num).
+
+    The Hermite normal form gives a basis of span(num); the denominator's
+    coordinates in it come from the normal equations over Q.
+    """
+    basis = hermite_normal_form(num) if num.cols else Matrix.zeros(num.rows, 0)
+    if basis.cols == 0:
+        return FGAbelianGroup.trivial() if den.is_zero_matrix else None
+    coords = (basis.T * basis).inv() * basis.T * den
+    if basis * coords != den or any(not x.is_integer for x in coords):
+        return None
+    return sympy_group(coords)
+
+
+def to_sympy(m: IntMatrix) -> Matrix:
+    return Matrix(m.rows, m.cols, [x for row in m.entries for x in row])
+
+
+@given(int_matrix_strategy(max_dim=6, max_entry=9))
+def test_snf_diagonal_matches_sympy(m):
+    diag = snf(m).diagonal()
+    sm = to_sympy(m)
+    assert diag == chain(invariant_factors(sm, domain=ZZ))
+    snf_matrix = smith_normal_form(sm, domain=ZZ)
+    assert diag == chain(snf_matrix[i, i] for i in range(min(m.rows, m.cols)))
+    assert_snf_contract(m)
+
+
+@given(int_matrix_strategy(max_dim=6, max_entry=9))
+def test_cokernel_matches_sympy(m):
+    assert cokernel(m) == sympy_group(to_sympy(m))
+
+
+@st.composite
+def lattice_pairs(draw):
+    """A numerator N and a denominator N @ X, sometimes pushed off span(N).
+
+    Scaling N gives it invariant factors above 1, so that a pushed
+    denominator can stay in the rational span but leave the lattice.
+    """
+    num = draw(int_matrix_strategy(max_dim=6, max_entry=9)).scale(draw(st.integers(1, 4)))
+    k = draw(st.integers(1, 6))
+    x = draw(
+        st.lists(
+            st.lists(st.integers(-3, 3), min_size=k, max_size=k),
+            min_size=num.cols,
+            max_size=num.cols,
+        )
+    )
+    den = num @ IntMatrix.from_rows(x, k)
+    if draw(st.booleans()):
+        i, j = draw(st.integers(0, num.rows - 1)), draw(st.integers(0, k - 1))
+        rows = [list(r) for r in den.entries]
+        rows[i][j] += draw(st.integers(1, 3))
+        den = IntMatrix.from_rows(rows, k)
+    return num, den
+
+
+@given(lattice_pairs())
+@example((IntMatrix.zeros(2, 2), IntMatrix.zeros(2, 1)))
+@example((IntMatrix.zeros(2, 2), IntMatrix.column([1, 0])))
+def test_subquotient_matches_sympy(pair):
+    num, den = pair
+    expected = sympy_subquotient(to_sympy(num), to_sympy(den))
+    try:
+        got = subquotient(num, den)
+    except LatticeSolveError:
+        got = None
+    assert got == expected
