@@ -11,18 +11,18 @@ from .abgroup import (
     IntMatrix,
     SmithNormalForm,
     cokernel,
-    graded_suspend,
     homology,
     snf,
     subquotient,
 )
 from .cubical import CubeFace, cellular_differential, enumerate_faces, oracle_compare
-from .exterior import Covector, ExteriorIndex, exterior_basis, interior_mul, koszul_matrix
+from .exterior import Covector, ExteriorIndex, contraction_terms, exterior_basis, koszul_matrix
 from .koszul import (
+    DatumComplex,
     GradedEndo,
-    KoszulComplex,
     ModuleDatum,
     Presentation,
+    SymbolicComplex,
     build_datum,
     build_symbolic,
     convolve_with_exterior,
@@ -52,12 +52,12 @@ from .tower import (
 __all__ = [
     "Covector",
     "CubeFace",
+    "DatumComplex",
     "ExteriorIndex",
     "FGAbelianGroup",
     "GradedEndo",
     "GradedGroup",
     "IntMatrix",
-    "KoszulComplex",
     "LaurentPoly",
     "ModuleDatum",
     "PVResult",
@@ -65,23 +65,23 @@ __all__ = [
     "Presentation",
     "SeriesSpec",
     "SmithNormalForm",
+    "SymbolicComplex",
     "TowerReport",
     "TowerShape",
     "build_datum",
     "build_symbolic",
     "cellular_differential",
     "cokernel",
+    "contraction_terms",
     "convolve_with_exterior",
     "datum_cohomology",
     "enumerate_faces",
     "euler_characteristic",
     "exterior_basis",
     "generic_rank_exactness",
-    "graded_suspend",
     "homogeneous_ktheory",
     "homogeneous_tower",
     "homology",
-    "interior_mul",
     "iterate_rank1",
     "koszul_matrix",
     "oracle_compare",

@@ -567,8 +567,3 @@ class GradedGroup:
 
     def __str__(self) -> str:
         return f"(even: {self.even}, odd: {self.odd})"
-
-
-def graded_suspend(g: GradedGroup) -> GradedGroup:
-    """Degree shift; an involution by Bott periodicity."""
-    return g.suspend()

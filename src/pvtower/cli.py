@@ -38,6 +38,8 @@ EXIT_OK = 0
 EXIT_INVALID = 2
 EXIT_AMBIGUOUS = 3
 
+_SERIES = ("A", "B", "C", "D")
+
 
 @dataclass
 class RunConfig:
@@ -101,12 +103,6 @@ def _mark(ok: bool) -> str:
         code = "32" if ok else "33"
         return f"\x1b[{code}m{text}\x1b[0m"
     return text
-
-
-def _require(config: RunConfig, *names: str) -> None:
-    for name in names:
-        if getattr(config, name) is None:
-            raise InputError(f"--{name} is required for '{config.command}'")
 
 
 # ---------------------------------------------------------------------------
@@ -235,7 +231,6 @@ def _cmd_koszul(config: RunConfig, payload: bytes) -> tuple[int, str]:
 
 
 def _cmd_homog(config: RunConfig, payload: bytes) -> tuple[int, str]:
-    _require(config, "series", "n", "k")
     try:
         big = SeriesSpec(config.series, config.n)
         small = SeriesSpec(config.series, config.k)
@@ -267,7 +262,6 @@ def _cmd_homog(config: RunConfig, payload: bytes) -> tuple[int, str]:
 
 
 def _cmd_oracle(config: RunConfig, payload: bytes) -> tuple[int, str]:
-    _require(config, "n")
     if config.n < 1:
         raise InputError("--n must be at least 1")
     match = oracle_compare(config.n)
@@ -279,7 +273,6 @@ def _cmd_oracle(config: RunConfig, payload: bytes) -> tuple[int, str]:
 
 
 def _cmd_shape(config: RunConfig, payload: bytes) -> tuple[int, str]:
-    _require(config, "n")
     if config.w is not None:
         w = config.w
     elif config.series is not None:
@@ -337,44 +330,44 @@ def build_parser() -> argparse.ArgumentParser:
         "and Pimsner-Voiculescu towers.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in (
-        ("rank1", "crossed-product K-theory for a single automorphism"),
-        ("tower", "full tower: level groups and final K-theory"),
-        ("koszul", "Koszul cohomology of a datum, or regularity report via --n"),
-        ("homog", "K-theory of a classical homogeneous space"),
-        ("oracle", "compare cubical cochain matrices with contraction"),
-        ("shape", "structural tower diagram data"),
-    ):
-        p = sub.add_parser(name, help=help_text)
-        p.add_argument("input", nargs="?", default=None, help="input JSON path (default: stdin)")
-        p.add_argument("--series", choices=("A", "B", "C", "D"), default=None)
-        p.add_argument("--n", type=int, default=None)
-        p.add_argument("--k", type=int, default=None)
-        p.add_argument("--w", type=int, default=None, help="Weyl multiplicity for 'shape'")
-        p.add_argument("--dual", action="store_true", help="dual tower labels for 'shape'")
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--trials", type=int, default=8)
-        p.add_argument("--format", choices=("text", "json"), default="text")
-        p.add_argument("--strict", action="store_true", help="exit 3 on ambiguity flags")
+    cmd = {
+        name: sub.add_parser(name, help=help_text)
+        for name, help_text in (
+            ("rank1", "crossed-product K-theory for a single automorphism"),
+            ("tower", "full tower: level groups and final K-theory"),
+            ("koszul", "Koszul cohomology of a datum, or regularity report via --n"),
+            ("homog", "K-theory of a classical homogeneous space"),
+            ("oracle", "compare cubical cochain matrices with contraction"),
+            ("shape", "structural tower diagram data"),
+        )
+    }
+    for name in ("rank1", "tower", "koszul"):
+        cmd[name].add_argument(
+            "input_path", metavar="input", nargs="?", help="input JSON path (default: stdin)"
+        )
+    for name in ("rank1", "tower"):
+        cmd[name].add_argument("--strict", action="store_true", help="exit 3 on ambiguity flags")
+    cmd["koszul"].add_argument("--n", type=int)
+    cmd["homog"].add_argument("--series", choices=_SERIES, required=True)
+    cmd["homog"].add_argument("--n", type=int, required=True)
+    cmd["homog"].add_argument("--k", type=int, required=True)
+    for name in ("koszul", "homog"):
+        cmd[name].add_argument("--seed", type=int, default=0)
+        cmd[name].add_argument("--trials", type=int, default=8)
+    cmd["oracle"].add_argument("--n", type=int, required=True)
+    cmd["shape"].add_argument("--n", type=int, required=True)
+    cmd["shape"].add_argument("--series", choices=_SERIES)
+    cmd["shape"].add_argument("--w", type=int, help="Weyl multiplicity")
+    cmd["shape"].add_argument("--dual", action="store_true", help="dual tower labels")
+    for p in cmd.values():
+        p.add_argument("--format", dest="output_format", choices=("text", "json"), default="text")
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        config = RunConfig(
-            command=args.command,
-            input_path=args.input,
-            seed=args.seed,
-            trials=args.trials,
-            output_format=args.format,
-            strict=args.strict,
-            series=args.series,
-            n=args.n,
-            k=args.k,
-            w=args.w,
-            dual=args.dual,
-        )
+        config = RunConfig(**vars(args))
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID

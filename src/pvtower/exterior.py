@@ -1,17 +1,19 @@
-"""Exterior powers of Z^n and interior multiplication by a covector.
+"""Exterior powers of Z^n and contraction against a covector.
 
 Basis elements of wedge^j Z^n are indexed by strictly increasing subsets
 of {1, ..., n} in lexicographic order; that order is the fixed basis
 convention for every matrix produced here.  The sign convention for
-interior multiplication is (-1)^(p-1) where p is the 1-based position of
-the removed index in the sorted subset.
+contraction is (-1)^(p-1) where p is the 1-based position of the removed
+index in the sorted subset; :func:`contraction_terms` is the one place
+that applies it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Sequence
+from math import comb
+from typing import Iterator, Sequence
 
 from .ring import LaurentPoly, PolyMatrix, one_minus_var
 
@@ -40,10 +42,6 @@ class ExteriorIndex:
         if s not in self.subset:
             raise ValueError(f"{s} not in {self.subset}")
         return ExteriorIndex(tuple(x for x in self.subset if x != s), self.n)
-
-    def position(self, s: int) -> int:
-        """1-based position of s in the sorted subset."""
-        return self.subset.index(s) + 1
 
 
 def exterior_basis(n: int, j: int) -> list[ExteriorIndex]:
@@ -92,21 +90,22 @@ class Covector:
         return tuple(i for i in range(1, self.n + 1) if self.entry(i).is_zero)
 
 
-def interior_mul(v: Covector, index: ExteriorIndex) -> list[tuple[LaurentPoly, ExteriorIndex]]:
-    """Contraction of the basis element e_S against v.
+def contraction_terms(n: int, j: int) -> Iterator[tuple[int, int, int, int]]:
+    """Nonzero terms of contraction wedge^j Z^n -> wedge^(j-1) Z^n.
 
-    Returns the formal sum sum_p (-1)^(p-1) v_{s_p} e_{S \\ {s_p}}; the
-    empty subset contracts to the empty sum.
+    Yields (row, col, direction, sign): dropping ``direction``, the p-th
+    index of the col-th basis subset of degree j, leaves the row-th basis
+    subset of degree j-1, with sign (-1)^(p-1).  Each (row, col) pair
+    occurs at most once.
     """
-    if v.n != index.n:
-        raise ValueError(f"covector rank {v.n} does not match index rank {index.n}")
-    out = []
-    for p, s in enumerate(index.subset, start=1):
-        coeff = v.entry(s)
-        if p % 2 == 0:
-            coeff = -coeff
-        out.append((coeff, index.remove(s)))
-    return out
+    if not 1 <= j <= n:
+        raise ValueError(f"degree {j} out of range 1..{n}")
+    row_pos = {S: r for r, S in enumerate(combinations(range(1, n + 1), j - 1))}
+    return (
+        (row_pos[S[:p] + S[p + 1:]], col, s, -1 if p % 2 else 1)
+        for col, S in enumerate(combinations(range(1, n + 1), j))
+        for p, s in enumerate(S)
+    )
 
 
 def koszul_matrix(v: Covector, j: int) -> PolyMatrix:
@@ -115,14 +114,11 @@ def koszul_matrix(v: Covector, j: int) -> PolyMatrix:
     Shape is C(n, j-1) x C(n, j).
     """
     n = v.n
-    if not 1 <= j <= n:
-        raise ValueError(f"degree {j} out of range 1..{n}")
-    rows = exterior_basis(n, j - 1)
-    cols = exterior_basis(n, j)
-    row_pos = {idx.subset: r for r, idx in enumerate(rows)}
+    terms = contraction_terms(n, j)
     zero = LaurentPoly.zero(v.nvars)
-    grid = [[zero for _ in cols] for _ in rows]
-    for c, S in enumerate(cols):
-        for coeff, T in interior_mul(v, S):
-            grid[row_pos[T.subset]][c] = grid[row_pos[T.subset]][c] + coeff
-    return PolyMatrix(len(rows), len(cols), v.nvars, tuple(tuple(r) for r in grid))
+    rows, cols = comb(n, j - 1), comb(n, j)
+    grid = [[zero] * cols for _ in range(rows)]
+    for r, c, s, sign in terms:
+        coeff = v.entry(s)
+        grid[r][c] = coeff if sign > 0 else -coeff
+    return PolyMatrix(rows, cols, v.nvars, tuple(tuple(r) for r in grid))

@@ -1,16 +1,17 @@
 """Koszul complexes in the two regimes the solvers need.
 
-Symbolic mode: wedge powers of Z^n tensored with a Laurent ring, with
-differentials given by contraction against a covector.  Cohomology over
-the ring is not computed in general; regular covectors of the shape
-(1 - t_i) are resolved by the structure theorem, witnessed by seeded
-generic-rank checks, and covectors with vanishing entries are peeled off
-by :func:`split_reduction`.
+Symbolic (:class:`SymbolicComplex`): wedge powers of Z^n tensored with a
+Laurent ring, with differentials given by contraction against a
+covector.  Cohomology over the ring is not computed in general; regular
+covectors of the shape (1 - t_i) are resolved by the structure theorem,
+witnessed by seeded generic-rank checks, and covectors with vanishing
+entries are peeled off by :func:`split_reduction`.
 
-Datum mode: a finitely generated Z/2-graded group carrying n pairwise
-commuting graded endomorphisms beta_i; the differential is contraction
-against (1 - beta_1, ..., 1 - beta_n) realized as block integer
-matrices, and cohomology is exact via Smith normal form.
+Datum (:class:`DatumComplex`): a finitely generated Z/2-graded group
+carrying n pairwise commuting graded endomorphisms beta_i; the
+differential is contraction against (1 - beta_1, ..., 1 - beta_n)
+realized as block integer matrices, and cohomology is exact via Smith
+normal form.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from .abgroup import (
     rational_rank,
     snf,
 )
-from .exterior import Covector, exterior_basis
+from .exterior import Covector, contraction_terms, koszul_matrix
 from .ring import PolyMatrix
 
 PARITIES = ("even", "odd")
@@ -252,73 +253,79 @@ class ModuleDatum:
 
 
 @dataclass(frozen=True)
-class KoszulComplex:
-    """Spots wedge^d (d = n..0) with contraction differentials d_j: spot j -> spot j-1.
+class SymbolicComplex:
+    """Contraction against a covector over the Laurent ring.
 
-    ``symbolic_diffs[j-1]`` (or ``even_diffs``/``odd_diffs``) holds d_j.
-    In datum mode consecutive differentials compose to zero modulo the
-    spot relation lattice (exactly zero when the input group is free), and
-    ``even_cycles[d]``/``odd_cycles[d]`` hold the factored cycle lattice at
-    spot d, which both its cohomology and its kernel group are read from.
+    Spots wedge^d (d = n..0) have rank C(n, d); ``diffs[j-1]`` holds
+    d_j: spot j -> spot j-1.
     """
 
-    n: int
-    mode: str  # "symbolic" | "datum"
-    ranks: tuple[int, ...]  # ranks[d] = C(n, d)
-    covector: Covector | None = None
-    symbolic_diffs: tuple[PolyMatrix, ...] = ()
-    datum: ModuleDatum | None = None
-    even_diffs: tuple[IntMatrix, ...] = ()
-    odd_diffs: tuple[IntMatrix, ...] = ()
-    even_cycles: tuple[SmithNormalForm, ...] = ()
-    odd_cycles: tuple[SmithNormalForm, ...] = ()
+    covector: Covector
+    diffs: tuple[PolyMatrix, ...]
 
-    def differential(self, j: int, parity: str | None = None):
+    @property
+    def n(self) -> int:
+        return self.covector.n
+
+    @property
+    def ranks(self) -> tuple[int, ...]:
+        return tuple(comb(self.n, d) for d in range(self.n + 1))
+
+    def differential(self, j: int) -> PolyMatrix:
         """d_j: spot j -> spot j-1, j in 1..n."""
         if not 1 <= j <= self.n:
             raise ValueError(f"differential index {j} out of range 1..{self.n}")
-        if self.mode == "symbolic":
-            return self.symbolic_diffs[j - 1]
-        return (self.even_diffs if parity == "even" else self.odd_diffs)[j - 1]
+        return self.diffs[j - 1]
+
+
+@dataclass(frozen=True)
+class DatumComplex:
+    """Contraction against (1 - beta_1, ..., 1 - beta_n) on a module datum, per parity.
+
+    ``diffs[parity][j-1]`` holds d_j as a block integer matrix; consecutive
+    differentials compose to zero modulo the spot relation lattice (exactly
+    zero when the input group is free).  ``cycle_lattices[parity][d]`` is the
+    factored cycle lattice at spot d, which both its cohomology and its
+    kernel group are read from.
+    """
+
+    datum: ModuleDatum
+    diffs: dict[str, tuple[IntMatrix, ...]]
+    cycle_lattices: dict[str, tuple[SmithNormalForm, ...]]
+
+    @property
+    def n(self) -> int:
+        return self.datum.n
+
+    def differential(self, j: int, parity: str) -> IntMatrix:
+        """d_j: spot j -> spot j-1 on one parity, j in 1..n."""
+        if not 1 <= j <= self.n:
+            raise ValueError(f"differential index {j} out of range 1..{self.n}")
+        return self.diffs[parity][j - 1]
 
     def cycles(self, d: int, parity: str) -> SmithNormalForm:
-        """The factored cycle lattice at spot d of a datum-mode complex."""
-        return (self.even_cycles if parity == "even" else self.odd_cycles)[d]
+        """The factored cycle lattice at spot d."""
+        return self.cycle_lattices[parity][d]
 
 
-def build_symbolic(v: Covector) -> KoszulComplex:
+def build_symbolic(v: Covector) -> SymbolicComplex:
     """Koszul complex of contraction against v over the Laurent ring."""
-    from .exterior import koszul_matrix
-
-    n = v.n
-    diffs = tuple(koszul_matrix(v, j) for j in range(1, n + 1))
-    for j in range(n - 1):
+    diffs = tuple(koszul_matrix(v, j) for j in range(1, v.n + 1))
+    for j in range(v.n - 1):
         if not (diffs[j] @ diffs[j + 1]).is_zero:
             raise AssertionError("consecutive Koszul differentials do not compose to zero")
-    return KoszulComplex(
-        n=n,
-        mode="symbolic",
-        ranks=tuple(comb(n, d) for d in range(n + 1)),
-        covector=v,
-        symbolic_diffs=diffs,
-    )
+    return SymbolicComplex(v, diffs)
 
 
 def _block_contraction(n: int, j: int, blocks: list[IntMatrix], g: int) -> IntMatrix:
     """Matrix of contraction against (blocks[0], ..., blocks[n-1]) from spot j to j-1."""
-    rows_basis = exterior_basis(n, j - 1)
-    cols_basis = exterior_basis(n, j)
-    row_pos = {idx.subset: r for r, idx in enumerate(rows_basis)}
-    grid = [[0] * (len(cols_basis) * g) for _ in range(len(rows_basis) * g)]
-    for c, S in enumerate(cols_basis):
-        for p, s in enumerate(S.subset, start=1):
-            r = row_pos[tuple(x for x in S.subset if x != s)]
-            sign = -1 if p % 2 == 0 else 1
-            blk = blocks[s - 1]
-            for a in range(g):
-                for b in range(g):
-                    grid[r * g + a][c * g + b] += sign * blk.entries[a][b]
-    return IntMatrix.from_rows(grid, len(cols_basis) * g)
+    terms = contraction_terms(n, j)
+    cols = comb(n, j) * g
+    grid = [[0] * cols for _ in range(comb(n, j - 1) * g)]
+    for r, c, s, sign in terms:
+        for a, blk_row in enumerate(blocks[s - 1].entries):
+            grid[r * g + a][c * g:(c + 1) * g] = [sign * x for x in blk_row]
+    return IntMatrix.from_rows(grid, cols)
 
 
 def spot_relations(datum: ModuleDatum, d: int, parity: str) -> IntMatrix:
@@ -343,7 +350,7 @@ def _cycle_lattice(
     return snf(hstack(cycles, own_rel))
 
 
-def build_datum(datum: ModuleDatum) -> KoszulComplex:
+def build_datum(datum: ModuleDatum) -> DatumComplex:
     """Koszul complex of contraction against (1 - beta_1, ..., 1 - beta_n)."""
     n = datum.n
     per_parity: dict[str, tuple[IntMatrix, ...]] = {}
@@ -370,32 +377,20 @@ def build_datum(datum: ModuleDatum) -> KoszulComplex:
                 ) from None
         per_parity[parity] = diffs
         cycles[parity] = tuple(_cycle_lattice(datum, diffs, d, parity) for d in range(n + 1))
-    return KoszulComplex(
-        n=n,
-        mode="datum",
-        ranks=tuple(comb(n, d) for d in range(n + 1)),
-        datum=datum,
-        even_diffs=per_parity["even"],
-        odd_diffs=per_parity["odd"],
-        even_cycles=cycles["even"],
-        odd_cycles=cycles["odd"],
-    )
+    return DatumComplex(datum, per_parity, cycles)
 
 
 # ---------------------------------------------------------------------------
-# Datum-mode cohomology
+# Datum cohomology
 # ---------------------------------------------------------------------------
 
 
-def datum_spot_cohomology(cx: KoszulComplex, d: int) -> GradedGroup:
-    """Homology at spot d of a datum-mode complex, one group per parity.
+def datum_spot_cohomology(cx: DatumComplex, d: int) -> GradedGroup:
+    """Homology at spot d of a datum complex, one group per parity.
 
     The cycle lattice modulo the incoming image and the spot relations.
     """
-    if cx.mode != "datum":
-        raise ValueError("datum-mode complex required")
     datum = cx.datum
-    assert datum is not None
     parts = {}
     for parity in PARITIES:
         own_rel = spot_relations(datum, d, parity)
@@ -414,12 +409,9 @@ def datum_cohomology(datum: ModuleDatum) -> list[GradedGroup]:
     return [datum_spot_cohomology(cx, d) for d in range(cx.n + 1)]
 
 
-def datum_spot_kernel(cx: KoszulComplex, d: int) -> GradedGroup:
+def datum_spot_kernel(cx: DatumComplex, d: int) -> GradedGroup:
     """The kernel of d_d on the quotient spot-d group (d = 1..n)."""
-    if cx.mode != "datum":
-        raise ValueError("datum-mode complex required")
     datum = cx.datum
-    assert datum is not None
     parts = {}
     for parity in PARITIES:
         own_rel = spot_relations(datum, d, parity)
@@ -512,7 +504,7 @@ def _sample_point(rng: random.Random, nvars: int, bound: int) -> list[Fraction]:
 
 
 def generic_rank_exactness(
-    cx: KoszulComplex, trials: int = 8, seed: int = 0, bound: int = 9
+    cx: SymbolicComplex, trials: int = 8, seed: int = 0, bound: int = 9
 ) -> RankExactnessReport:
     """Monte Carlo exactness witnesses for a symbolic complex.
 
@@ -520,12 +512,12 @@ def generic_rank_exactness(
     computes differential ranks over Q, and checks the rank bookkeeping
     rank(d_j) + rank(d_{j+1}) = C(n, j) that exactness at spot j forces.
     """
-    if cx.mode != "symbolic":
-        raise ValueError("symbolic-mode complex required")
+    if not isinstance(cx, SymbolicComplex):
+        raise ValueError("symbolic complex required")
     if trials < 1:
         raise ValueError("trials must be at least 1")
     n = cx.n
-    nvars = cx.covector.nvars if cx.covector is not None else 0
+    nvars = cx.covector.nvars
     rng = random.Random(seed)
     observed = [0] * (n + 2)  # observed[j] = max rank of d_j; d_{n+1} = 0
     consistent = [True] * (n + 1)
@@ -550,12 +542,10 @@ def generic_rank_exactness(
     return RankExactnessReport(n=n, trials=trials, seed=seed, spots=spots)
 
 
-def endpoint_augmentation_surjective(cx: KoszulComplex) -> bool:
+def endpoint_augmentation_surjective(cx: SymbolicComplex) -> bool:
     """Whether the endpoint cokernel surjects onto Z via augmentation.
 
     True exactly when every covector entry has augmentation zero, so the
     image of d_1 lies inside the augmentation ideal.
     """
-    if cx.mode != "symbolic" or cx.covector is None:
-        raise ValueError("symbolic-mode complex required")
     return all(p.augmentation() == 0 for p in cx.covector.entries)

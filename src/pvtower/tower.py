@@ -160,49 +160,24 @@ def _automorphism_check(datum: ModuleDatum) -> None:
                 )
 
 
-def _quotient_cokernel(pres: Presentation, f: IntMatrix) -> FGAbelianGroup:
-    """Cokernel of the induced map of f on Z^g / relations."""
-    return cokernel(hstack(f, pres.relation_columns()))
-
-
-def _quotient_kernel_span(pres: Presentation, f: IntMatrix) -> IntMatrix:
-    """Columns spanning {x : f(x) lies in the relation lattice}."""
-    rel = pres.relation_columns()
-    ker = kernel_basis(hstack(f, rel))
-    return hstack(ker.take_rows(0, pres.free_rank), rel)
-
-
-def _quotient_kernel_group(pres: Presentation, f: IntMatrix) -> FGAbelianGroup:
-    rel = pres.relation_columns()
-    return subquotient(_quotient_kernel_span(pres, f), rel)
-
-
 def pv_rank1(datum: ModuleDatum) -> PVResult:
     """K-theory of the crossed product by a single automorphism.
 
+    The rank-one tower is the Pimsner-Voiculescu sequence:
     K_0 sits in 0 -> coker(1-beta | even) -> K_0 -> ker(1-beta | odd) -> 0
     and symmetrically for K_1.  A free kernel term forces the split; a
     torsion kernel term leaves the extension unresolved and is flagged.
     """
     if datum.n != 1:
         raise ValueError(f"rank-1 solver requires exactly one endomorphism, got {datum.n}")
-    _automorphism_check(datum)
-    e = datum.endos[0]
-    pieces: dict[str, tuple[FGAbelianGroup, FGAbelianGroup]] = {}
-    reasons = []
-    for parity in PARITIES:
-        pres = datum.presentation(parity)
-        one_minus = IntMatrix.identity(pres.free_rank) - e.part(parity)
-        coker = _quotient_cokernel(pres, one_minus)
-        ker = _quotient_kernel_group(pres, one_minus)
-        if ker.has_torsion:
-            reasons.append(
-                f"kernel term on the {parity} part has torsion {FGAbelianGroup(0, ker.torsion)}"
-            )
-        pieces[parity] = (coker, ker)
-    k0 = pieces["even"][0].direct_sum(pieces["odd"][1])
-    k1 = pieces["odd"][0].direct_sum(pieces["even"][1])
-    return PVResult(GradedGroup(k0, k1), bool(reasons), tuple(reasons))
+    report = pv_tower(datum)
+    ker = report.cohomology[1]
+    reasons = tuple(
+        f"kernel term on the {parity} part has torsion {FGAbelianGroup(0, part.torsion)}"
+        for parity, part in (("even", ker.even), ("odd", ker.odd))
+        if part.has_torsion
+    )
+    return PVResult(report.final, bool(reasons), reasons)
 
 
 # ---------------------------------------------------------------------------
@@ -375,7 +350,8 @@ def _step_rank1(
         coker_endos = [e[parity] for e in remaining]
 
         # Kernel block: generators a lattice basis of {x : (1-beta)x in L}.
-        span = _quotient_kernel_span(pres, one_minus)
+        ker = kernel_basis(hstack(one_minus, rel))
+        span = hstack(ker.take_rows(0, g), rel)
         basis = column_span_basis(span)
         r = basis.cols
         if r:

@@ -13,7 +13,6 @@ from pvtower.abgroup import (
     GradedGroup,
     IntMatrix,
     cokernel,
-    graded_suspend,
     homology,
     kernel_basis,
     normalize_invariant_factors,
@@ -121,7 +120,7 @@ class TestGroups:
 
     def test_suspend_involution(self):
         g = GradedGroup(FGAbelianGroup.free(2), FGAbelianGroup(0, (3,)))
-        assert graded_suspend(graded_suspend(g)) == g
+        assert g.suspend().suspend() == g
 
     def test_suspend_mixed(self):
         g = GradedGroup(FGAbelianGroup.free(2), FGAbelianGroup(0, (3,)))

@@ -1,8 +1,12 @@
 """CLI behaviour: outputs, schemas, exit codes, determinism."""
 
 import json
+import os
+import re
 import subprocess
 import sys
+
+README = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "README.md")
 
 ROTATION_DATUM = {
     "schema": 1,
@@ -150,6 +154,12 @@ class TestValidation:
         assert code == 2
         assert "datum.odd" in err
 
+    def test_flag_of_another_subcommand_rejected(self):
+        code, out, err = run_cli(["rank1", "--w", "5", "--dual"], ROTATION_DATUM)
+        assert code == 2
+        assert out == ""
+        assert "--w" in err
+
     def test_deeply_nested_json(self):
         proc = subprocess.run(
             [sys.executable, "-m", "pvtower.cli", "tower"],
@@ -172,6 +182,14 @@ class TestTowerCommand:
         assert parsed["levels"][0]["level"] == 1
         for entry in parsed["cohomology"]:
             assert set(entry) == {"spot", "even", "odd"}
+
+    def test_readme_input_schema_example_runs(self):
+        with open(README, encoding="utf-8") as fh:
+            text = fh.read()
+        block = re.search(r"### Input schema.*?```json\n(.*?)```", text, re.S).group(1)
+        code, out, err = run_cli(["tower", "--format", "json"], json.loads(block))
+        assert code == 0, err
+        assert json.loads(out)["n"] == 2
 
     def test_determinism(self):
         runs = [run_cli(["tower", "--format", "json"], TORUS2_DATUM) for _ in range(2)]

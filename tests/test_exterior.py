@@ -1,9 +1,8 @@
-"""Exterior basis indexing, interior multiplication, contraction matrices."""
+"""Exterior basis indexing, contraction terms, contraction matrices."""
 
 from fractions import Fraction
 from math import comb
 
-import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
@@ -11,10 +10,9 @@ from pvtower.exterior import (
     Covector,
     ExteriorIndex,
     exterior_basis,
-    interior_mul,
     koszul_matrix,
 )
-from pvtower.ring import LaurentPoly, parse_poly
+from pvtower.ring import parse_poly
 
 from conftest import covector_strategy
 
@@ -43,35 +41,6 @@ class TestBasis:
             ExteriorIndex((2, 1), 3)
         with pytest.raises(ValueError):
             ExteriorIndex((0, 1), 3)
-
-
-class TestInteriorMul:
-    def test_rank_two_sign_rule(self):
-        v1 = parse_poly("t1", 2)
-        v2 = parse_poly("t2 + 1", 2)
-        result = interior_mul(Covector((v1, v2), 2), ExteriorIndex((1, 2), 2))
-        assert result == [
-            (v1, ExteriorIndex((2,), 2)),
-            (-v2, ExteriorIndex((1,), 2)),
-        ]
-
-    def test_rank_one_contraction_is_multiplication(self):
-        v = Covector.standard(1)
-        result = interior_mul(v, ExteriorIndex((1,), 1))
-        assert result == [(parse_poly("1 - t1", 1), ExteriorIndex((), 1))]
-
-    def test_empty_subset_contracts_to_empty_sum(self):
-        assert interior_mul(Covector.standard(2), ExteriorIndex((), 2)) == []
-
-    @given(covector_strategy(4), st.sets(st.integers(1, 4), min_size=2))
-    def test_double_contraction_vanishes(self, v, subset):
-        index = ExteriorIndex(tuple(sorted(subset)), 4)
-        acc: dict[tuple[int, ...], LaurentPoly] = {}
-        for coeff, mid in interior_mul(v, index):
-            for coeff2, out in interior_mul(v, mid):
-                key = out.subset
-                acc[key] = acc.get(key, LaurentPoly.zero(4)) + coeff * coeff2
-        assert all(p.is_zero for p in acc.values())
 
 
 class TestKoszulMatrix:
