@@ -33,11 +33,10 @@ from .koszul import (
 from .liegroups import (
     SeriesSpec,
     homogeneous_ktheory,
-    homogeneous_tower,
     weyl_enumerate,
     weyl_order,
 )
-from .ring import LaurentPoly, PolyMatrix, parse_poly
+from .ring import LaurentPoly, PolyMatrix
 from .tower import (
     PVResult,
     TowerReport,
@@ -80,12 +79,10 @@ __all__ = [
     "exterior_basis",
     "generic_rank_exactness",
     "homogeneous_ktheory",
-    "homogeneous_tower",
     "homology",
     "iterate_rank1",
     "koszul_matrix",
     "oracle_compare",
-    "parse_poly",
     "pv_rank1",
     "pv_tower",
     "snf",

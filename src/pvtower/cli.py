@@ -17,7 +17,6 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
 
 from .cubical import oracle_compare
 from .koszul import (
@@ -40,24 +39,9 @@ EXIT_AMBIGUOUS = 3
 
 _SERIES = ("A", "B", "C", "D")
 
-
-@dataclass
-class RunConfig:
-    command: str
-    input_path: str | None = None
-    seed: int = 0
-    trials: int = 8
-    output_format: str = "text"
-    strict: bool = False
-    series: str | None = None
-    n: int | None = None
-    k: int | None = None
-    w: int | None = None
-    dual: bool = False
-
-    def __post_init__(self) -> None:
-        if self.trials < 1:
-            raise ValueError("trials must be at least 1")
+# `koszul --n 7` costs about 0.1 s per trial; this cap keeps such a run
+# under about 7 s.
+_MAX_TRIALS = 64
 
 
 class InputError(ValueError):
@@ -110,7 +94,7 @@ def _mark(ok: bool) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _cmd_rank1(config: RunConfig, payload: bytes) -> tuple[int, str]:
+def _cmd_rank1(args: argparse.Namespace, payload: bytes) -> tuple[int, str]:
     datum = _load_datum(payload)
     if datum.n != 1:
         raise InputError(f"datum.n: rank1 needs exactly one endomorphism, got {datum.n}")
@@ -118,7 +102,7 @@ def _cmd_rank1(config: RunConfig, payload: bytes) -> tuple[int, str]:
         result = pv_rank1(datum)
     except ValueError as exc:
         raise InputError(str(exc)) from None
-    if config.output_format == "json":
+    if args.output_format == "json":
         out = _dump(
             {
                 "schema": SCHEMA_VERSION,
@@ -136,18 +120,18 @@ def _cmd_rank1(config: RunConfig, payload: bytes) -> tuple[int, str]:
         ]
         lines += [f"  {r}" for r in result.reasons]
         out = "\n".join(lines) + "\n"
-    code = EXIT_AMBIGUOUS if (config.strict and result.ambiguous) else EXIT_OK
+    code = EXIT_AMBIGUOUS if (args.strict and result.ambiguous) else EXIT_OK
     return code, out
 
 
-def _cmd_tower(config: RunConfig, payload: bytes) -> tuple[int, str]:
+def _cmd_tower(args: argparse.Namespace, payload: bytes) -> tuple[int, str]:
     datum = _load_datum(payload)
     try:
         report = pv_tower(datum)
     except ValueError as exc:
         raise InputError(str(exc)) from None
     euler = euler_characteristic(list(report.cohomology))
-    if config.output_format == "json":
+    if args.output_format == "json":
         body = report.to_json_dict()
         body["schema"] = SCHEMA_VERSION
         body["euler"] = euler
@@ -162,25 +146,25 @@ def _cmd_tower(config: RunConfig, payload: bytes) -> tuple[int, str]:
         lines.append(f"extensions: {_mark(not report.ambiguous)}")
         lines += [f"  {r}" for r in report.reasons]
         out = "\n".join(lines) + "\n"
-    code = EXIT_AMBIGUOUS if (config.strict and report.ambiguous) else EXIT_OK
+    code = EXIT_AMBIGUOUS if (args.strict and report.ambiguous) else EXIT_OK
     return code, out
 
 
-def _cmd_koszul(config: RunConfig, payload: bytes) -> tuple[int, str]:
-    if config.n is not None:
+def _cmd_koszul(args: argparse.Namespace, payload: bytes) -> tuple[int, str]:
+    if args.n is not None:
         # Symbolic regularity report for the covector (1 - t_1, ..., 1 - t_n).
-        if config.n < 1:
+        if args.n < 1:
             raise InputError("--n must be at least 1")
-        cx = build_symbolic(Covector.standard(config.n))
-        report = generic_rank_exactness(cx, trials=config.trials, seed=config.seed)
+        cx = build_symbolic(Covector.standard(args.n))
+        report = generic_rank_exactness(cx, trials=args.trials, seed=args.seed)
         aug = endpoint_augmentation_surjective(cx)
-        if config.output_format == "json":
+        if args.output_format == "json":
             out = _dump(
                 {
                     "schema": SCHEMA_VERSION,
-                    "n": config.n,
-                    "trials": config.trials,
-                    "seed": config.seed,
+                    "n": args.n,
+                    "trials": args.trials,
+                    "seed": args.seed,
                     "spots": [
                         {
                             "spot": s.spot,
@@ -194,7 +178,7 @@ def _cmd_koszul(config: RunConfig, payload: bytes) -> tuple[int, str]:
                 }
             )
         else:
-            lines = [f"regular covector, rank {config.n}"]
+            lines = [f"regular covector, rank {args.n}"]
             for s in report.spots:
                 lines.append(
                     f"spot {s.spot}: module rank {s.module_rank}, observed rank "
@@ -210,7 +194,7 @@ def _cmd_koszul(config: RunConfig, payload: bytes) -> tuple[int, str]:
     except ValueError as exc:
         raise InputError(str(exc)) from None
     euler = euler_characteristic(groups)
-    if config.output_format == "json":
+    if args.output_format == "json":
         out = _dump(
             {
                 "schema": SCHEMA_VERSION,
@@ -230,20 +214,20 @@ def _cmd_koszul(config: RunConfig, payload: bytes) -> tuple[int, str]:
     return EXIT_OK, out
 
 
-def _cmd_homog(config: RunConfig, payload: bytes) -> tuple[int, str]:
+def _cmd_homog(args: argparse.Namespace, payload: bytes) -> tuple[int, str]:
     try:
-        big = SeriesSpec(config.series, config.n)
-        small = SeriesSpec(config.series, config.k)
-        result = homogeneous_ktheory(big, small, trials=config.trials, seed=config.seed)
+        big = SeriesSpec(args.series, args.n)
+        small = SeriesSpec(args.series, args.k)
+        result = homogeneous_ktheory(big, small, trials=args.trials, seed=args.seed)
     except ValueError as exc:
         raise InputError(str(exc)) from None
-    if config.output_format == "json":
+    if args.output_format == "json":
         out = _dump(
             {
                 "schema": SCHEMA_VERSION,
-                "series": config.series,
-                "n": config.n,
-                "k": config.k,
+                "series": args.series,
+                "n": args.n,
+                "k": args.k,
                 "even": str(result.group.even),
                 "odd": str(result.group.odd),
                 "spot_ranks": list(result.spot_ranks),
@@ -261,32 +245,32 @@ def _cmd_homog(config: RunConfig, payload: bytes) -> tuple[int, str]:
     return EXIT_OK, out
 
 
-def _cmd_oracle(config: RunConfig, payload: bytes) -> tuple[int, str]:
-    if config.n < 1:
+def _cmd_oracle(args: argparse.Namespace, payload: bytes) -> tuple[int, str]:
+    if args.n < 1:
         raise InputError("--n must be at least 1")
-    match = oracle_compare(config.n)
-    if config.output_format == "json":
-        out = _dump({"schema": SCHEMA_VERSION, "n": config.n, "match": match})
+    match = oracle_compare(args.n)
+    if args.output_format == "json":
+        out = _dump({"schema": SCHEMA_VERSION, "n": args.n, "match": match})
     else:
-        out = f"cubical cochain matrices match contraction for n={config.n}: {match}\n"
+        out = f"cubical cochain matrices match contraction for n={args.n}: {match}\n"
     return EXIT_OK, out
 
 
-def _cmd_shape(config: RunConfig, payload: bytes) -> tuple[int, str]:
-    if config.w is not None:
-        w = config.w
-    elif config.series is not None:
+def _cmd_shape(args: argparse.Namespace, payload: bytes) -> tuple[int, str]:
+    if args.w is not None:
+        w = args.w
+    elif args.series is not None:
         try:
-            w = weyl_order(SeriesSpec(config.series, config.n))
+            w = weyl_order(SeriesSpec(args.series, args.n))
         except ValueError as exc:
             raise InputError(str(exc)) from None
     else:
         w = 1
     try:
-        shape = tower_shape(config.n, w, dual=config.dual)
+        shape = tower_shape(args.n, w, dual=args.dual)
     except ValueError as exc:
         raise InputError(str(exc)) from None
-    if config.output_format == "json":
+    if args.output_format == "json":
         body = shape.to_json_dict()
         body["schema"] = SCHEMA_VERSION
         out = _dump(body)
@@ -310,17 +294,27 @@ _COMMANDS = {
     "shape": _cmd_shape,
 }
 
-_NEEDS_INPUT = {"rank1", "tower"}
 
-
-def run(config: RunConfig, payload: bytes) -> tuple[int, str]:
-    """Execute one command; returns (exit code, output text)."""
+def run(args: argparse.Namespace, payload: bytes) -> tuple[int, str]:
+    """Execute one parsed command; returns (exit code, output text)."""
     try:
-        return _COMMANDS[config.command](config, payload)
+        return _COMMANDS[args.command](args, payload)
     except InputError:
         raise
     except DatumError as exc:
         raise InputError(str(exc)) from None
+
+
+def _trials(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if not 1 <= value <= _MAX_TRIALS:
+        raise argparse.ArgumentTypeError(
+            f"expected an integer in 1..{_MAX_TRIALS}, got {text!r}"
+        )
+    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -341,23 +335,26 @@ def build_parser() -> argparse.ArgumentParser:
             ("shape", "structural tower diagram data"),
         )
     }
-    for name in ("rank1", "tower", "koszul"):
-        cmd[name].add_argument(
+    # koszul reads a datum unless --n asks for the symbolic report instead.
+    koszul_source = cmd["koszul"].add_mutually_exclusive_group()
+    for target in (cmd["rank1"], cmd["tower"], koszul_source):
+        target.add_argument(
             "input_path", metavar="input", nargs="?", help="input JSON path (default: stdin)"
         )
     for name in ("rank1", "tower"):
         cmd[name].add_argument("--strict", action="store_true", help="exit 3 on ambiguity flags")
-    cmd["koszul"].add_argument("--n", type=int)
+    koszul_source.add_argument("--n", type=int)
     cmd["homog"].add_argument("--series", choices=_SERIES, required=True)
     cmd["homog"].add_argument("--n", type=int, required=True)
     cmd["homog"].add_argument("--k", type=int, required=True)
     for name in ("koszul", "homog"):
         cmd[name].add_argument("--seed", type=int, default=0)
-        cmd[name].add_argument("--trials", type=int, default=8)
+        cmd[name].add_argument("--trials", type=_trials, default=8)
     cmd["oracle"].add_argument("--n", type=int, required=True)
     cmd["shape"].add_argument("--n", type=int, required=True)
-    cmd["shape"].add_argument("--series", choices=_SERIES)
-    cmd["shape"].add_argument("--w", type=int, help="Weyl multiplicity")
+    shape_weyl = cmd["shape"].add_mutually_exclusive_group()
+    shape_weyl.add_argument("--series", choices=_SERIES)
+    shape_weyl.add_argument("--w", type=int, help="Weyl multiplicity")
     cmd["shape"].add_argument("--dual", action="store_true", help="dual tower labels")
     for p in cmd.values():
         p.add_argument("--format", dest="output_format", choices=("text", "json"), default="text")
@@ -366,20 +363,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    try:
-        config = RunConfig(**vars(args))
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID
-
     payload = b""
-    needs_input = config.command in _NEEDS_INPUT or (
-        config.command == "koszul" and config.n is None
-    )
-    if needs_input:
-        if config.input_path:
+    # rank1, tower and koszul read a datum, except for `koszul --n`.
+    if hasattr(args, "input_path") and getattr(args, "n", None) is None:
+        if args.input_path:
             try:
-                with open(config.input_path, "rb") as fh:
+                with open(args.input_path, "rb") as fh:
                     payload = fh.read()
             except OSError as exc:
                 print(f"error: {exc}", file=sys.stderr)
@@ -388,7 +377,7 @@ def main(argv: list[str] | None = None) -> int:
             payload = sys.stdin.buffer.read()
 
     try:
-        code, output = run(config, payload)
+        code, output = run(args, payload)
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID

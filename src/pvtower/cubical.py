@@ -91,11 +91,6 @@ def cellular_differential(n: int, d: int) -> PolyMatrix:
     return PolyMatrix(len(rows), len(cols), n, tuple(tuple(r) for r in grid))
 
 
-def face_counts(n: int) -> list[int]:
-    """Number of (i-1)-dimensional faces for i = 1..n+1; equals C(n, i-1)."""
-    return [len(enumerate_faces(n, i - 1)) for i in range(1, n + 2)]
-
-
 def oracle_compare(n: int) -> bool:
     """Match the cubical cochain matrices against contraction by (1 - t_i).
 

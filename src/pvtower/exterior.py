@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 from math import comb
-from typing import Iterator, Sequence
+from typing import Iterator
 
 from .ring import LaurentPoly, PolyMatrix, one_minus_var
 
@@ -66,14 +66,6 @@ class Covector:
                 )
 
     @classmethod
-    def of(cls, entries: Sequence[LaurentPoly], nvars: int | None = None) -> "Covector":
-        if nvars is None:
-            if not entries:
-                raise ValueError("nvars required for an empty covector")
-            nvars = entries[0].nvars
-        return cls(tuple(entries), nvars)
-
-    @classmethod
     def standard(cls, n: int) -> "Covector":
         """(1 - t_1, ..., 1 - t_n) over the rank-n Laurent ring."""
         return cls(tuple(one_minus_var(i, n) for i in range(1, n + 1)), n)
@@ -85,9 +77,6 @@ class Covector:
     def entry(self, i: int) -> LaurentPoly:
         """Coefficient of e_i*, i in 1..n."""
         return self.entries[i - 1]
-
-    def zero_positions(self) -> tuple[int, ...]:
-        return tuple(i for i in range(1, self.n + 1) if self.entry(i).is_zero)
 
 
 def contraction_terms(n: int, j: int) -> Iterator[tuple[int, int, int, int]]:

@@ -479,20 +479,20 @@ class RankExactnessReport:
     def all_consistent(self) -> bool:
         return all(s.consistent for s in self.spots)
 
-    @property
-    def interior_consistent(self) -> bool:
-        return all(s.consistent for s in self.spots if s.spot < self.n)
-
     def observed_rank(self, j: int) -> int:
         return self.spots[j - 1].observed_rank
 
 
-def _sample_point(rng: random.Random, nvars: int, bound: int) -> list[Fraction]:
+# Sample coordinates are num/den with |num| and den at most this bound.
+_SAMPLE_BOUND = 9
+
+
+def _sample_point(rng: random.Random, nvars: int) -> list[Fraction]:
     point = []
     for _ in range(nvars):
         while True:
-            num = rng.randint(-bound, bound)
-            den = rng.randint(1, bound)
+            num = rng.randint(-_SAMPLE_BOUND, _SAMPLE_BOUND)
+            den = rng.randint(1, _SAMPLE_BOUND)
             if num == 0:
                 continue
             val = Fraction(num, den)
@@ -504,7 +504,7 @@ def _sample_point(rng: random.Random, nvars: int, bound: int) -> list[Fraction]:
 
 
 def generic_rank_exactness(
-    cx: SymbolicComplex, trials: int = 8, seed: int = 0, bound: int = 9
+    cx: SymbolicComplex, trials: int = 8, seed: int = 0
 ) -> RankExactnessReport:
     """Monte Carlo exactness witnesses for a symbolic complex.
 
@@ -522,7 +522,7 @@ def generic_rank_exactness(
     observed = [0] * (n + 2)  # observed[j] = max rank of d_j; d_{n+1} = 0
     consistent = [True] * (n + 1)
     for _ in range(trials):
-        point = _sample_point(rng, nvars, bound)
+        point = _sample_point(rng, nvars)
         ranks = [0] * (n + 2)
         for j in range(1, n + 1):
             ranks[j] = rational_rank(cx.differential(j).evaluate(point))

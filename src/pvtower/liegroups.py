@@ -13,7 +13,7 @@ single Z at the endpoint, witnessed by seeded rank checks.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb, factorial
+from math import factorial
 
 from .abgroup import FGAbelianGroup, GradedGroup
 from .exterior import Covector
@@ -26,7 +26,7 @@ from .koszul import (
     split_reduction,
 )
 from .ring import LaurentPoly, one_minus_var
-from .tower import TowerLevel, TowerReport, assemble_final, suspend_by
+from .tower import assemble_final
 
 _MIN_RANK = {"A": 1, "B": 2, "C": 3, "D": 3}
 _ENUM_RANK_CAP = 7
@@ -189,46 +189,4 @@ def homogeneous_ktheory(
         spot_groups=tuple(spot_groups),
         spot_ranks=tuple(g.even.free_rank + g.odd.free_rank for g in spot_groups),
         exactness=report,
-    )
-
-
-def homogeneous_tower(
-    big: SeriesSpec, small: SeriesSpec, trials: int = 8, seed: int = 0
-) -> TowerReport:
-    """Per-level report for the homogeneous-space tower.
-
-    Level l keeps spots 0..n-l.  The kernel summand at the top retained
-    spot is a module over the rank-k Laurent ring (free-rank recorded,
-    infinite rank as an abelian group), so it is reported by its module
-    rank next to the finitely generated part.
-    """
-    n, k = _check_pair(big, small)
-    kth = homogeneous_ktheory(big, small, trials=trials, seed=seed)
-    full_cx = build_symbolic(_homogeneous_covector(n, k))
-    full_report = generic_rank_exactness(full_cx, trials=trials, seed=seed)
-
-    levels = []
-    for l in range(n - 1, 0, -1):
-        top = n - l
-        fg = GradedGroup()
-        for d in range(top):
-            fg = fg.direct_sum(suspend_by(kth.spot_groups[d], d))
-        kernel_rank = comb(n, top) - full_report.observed_rank(top)
-        levels.append(
-            TowerLevel(
-                level=l,
-                group=fg,
-                ambiguous=False,
-                reasons=(),
-                kernel_module_rank=kernel_rank,
-                kernel_suspension=top % 2,
-            )
-        )
-    return TowerReport(
-        n=n,
-        levels=tuple(levels),
-        final=kth.group,
-        ambiguous=False,
-        reasons=(),
-        cohomology=kth.spot_groups,
     )

@@ -13,7 +13,6 @@ Coefficients are arbitrary-precision ints; evaluation is exact over
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Mapping, Sequence
@@ -76,10 +75,6 @@ class LaurentPoly:
         exps = [0] * nvars
         exps[i - 1] = power
         return cls(nvars, {tuple(exps): 1})
-
-    @classmethod
-    def monomial(cls, coeff: int, exps: Sequence[int]) -> "LaurentPoly":
-        return cls(len(exps), {tuple(exps): coeff})
 
     # -- basic queries ------------------------------------------------
 
@@ -149,18 +144,6 @@ class LaurentPoly:
 
     __rmul__ = __mul__
 
-    def __pow__(self, k: int) -> "LaurentPoly":
-        if k < 0:
-            raise ValueError("negative powers of general polynomials are undefined")
-        result = LaurentPoly.one(self._nvars)
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base
-            k >>= 1
-        return result
-
     # -- evaluation ---------------------------------------------------
 
     def evaluate(self, point: Sequence[Fraction | int]) -> Fraction:
@@ -188,10 +171,6 @@ class LaurentPoly:
         return sum(self._terms.values())
 
     # -- text form ------------------------------------------------------
-    #
-    # Grammar: signed integer-coefficient monomials c*t1^a1*...*tn^an
-    # joined by + / -, with zero exponents omitted.  The parser accepts
-    # everything the printer emits (and implicit coefficient/exponent 1).
 
     def __str__(self) -> str:
         if not self._terms:
@@ -220,50 +199,6 @@ class LaurentPoly:
 
     def __repr__(self) -> str:
         return f"LaurentPoly({self._nvars}, {str(self)!r})"
-
-
-_TERM_RE = re.compile(
-    r"^(?P<coeff>\d+)?(?P<stars>\*?)(?P<body>(?:t\d+(?:\^~?\d+)?)(?:\*t\d+(?:\^~?\d+)?)*)?$"
-)
-_FACTOR_RE = re.compile(r"t(\d+)(?:\^(~?\d+))?")
-
-
-def parse_poly(text: str, nvars: int) -> LaurentPoly:
-    """Parse the textual form produced by ``str(LaurentPoly)``."""
-    compact = "".join(text.split())
-    if not compact:
-        raise ValueError("empty polynomial text")
-    # Protect exponent minus signs before splitting on +/- separators.
-    compact = compact.replace("^-", "^~")
-    tokens = re.split(r"([+-])", compact)
-    if tokens[0] == "":
-        tokens = tokens[1:]
-    else:
-        tokens = ["+"] + tokens
-    if len(tokens) % 2 != 0:
-        raise ValueError(f"malformed polynomial text: {text!r}")
-    terms: dict[tuple[int, ...], int] = {}
-    for sign_tok, chunk in zip(tokens[::2], tokens[1::2]):
-        if sign_tok not in "+-" or not chunk:
-            raise ValueError(f"malformed polynomial text: {text!r}")
-        m = _TERM_RE.match(chunk)
-        if not m or (m.group("coeff") is None and not m.group("body")):
-            raise ValueError(f"malformed term {chunk!r} in {text!r}")
-        if m.group("coeff") is not None and m.group("body") and not m.group("stars"):
-            raise ValueError(f"missing '*' between coefficient and variables in {chunk!r}")
-        coeff = int(m.group("coeff") or 1)
-        if sign_tok == "-":
-            coeff = -coeff
-        exps = [0] * nvars
-        for var, power in _FACTOR_RE.findall(m.group("body") or ""):
-            idx = int(var)
-            if not 1 <= idx <= nvars:
-                raise ValueError(f"variable t{idx} out of range for {nvars} variables")
-            e = int(power.replace("~", "-")) if power else 1
-            exps[idx - 1] += e
-        key = tuple(exps)
-        terms[key] = terms.get(key, 0) + coeff
-    return LaurentPoly(nvars, terms)
 
 
 def one_minus_var(i: int, nvars: int) -> LaurentPoly:

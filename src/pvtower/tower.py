@@ -191,10 +191,6 @@ class TowerLevel:
     group: GradedGroup
     ambiguous: bool
     reasons: tuple[str, ...] = ()
-    # Set only for towers over a Laurent ring, where the kernel summand is a
-    # module of this rank over the ring rather than a f.g. abelian group.
-    kernel_module_rank: int | None = None
-    kernel_suspension: int | None = None
 
     def to_json_dict(self) -> dict:
         return {
@@ -202,8 +198,9 @@ class TowerLevel:
             "group": self.group.to_dict(),
             "ambiguous": self.ambiguous,
             "reasons": list(self.reasons),
-            "kernel_module_rank": self.kernel_module_rank,
-            "kernel_suspension": self.kernel_suspension,
+            # Schema 1 pins these keys; no tower computed here fills them.
+            "kernel_module_rank": None,
+            "kernel_suspension": None,
         }
 
 

@@ -42,12 +42,13 @@ TORUS2_DATUM = {
 }
 
 
-def run_cli(args, stdin_obj=None):
+def run_cli(args, stdin_obj=None, timeout=None):
     payload = json.dumps(stdin_obj).encode() if stdin_obj is not None else b""
     proc = subprocess.run(
         [sys.executable, "-m", "pvtower.cli", *args],
         input=payload,
         capture_output=True,
+        timeout=timeout,
     )
     return proc.returncode, proc.stdout.decode(), proc.stderr.decode()
 
@@ -159,6 +160,27 @@ class TestValidation:
         assert code == 2
         assert out == ""
         assert "--w" in err
+
+    def test_trials_out_of_range_rejected(self):
+        # An unbounded --trials runs for hours; the timeout turns that into a failure.
+        for command in (["koszul", "--n", "2"], ["homog", "--series", "A", "--n", "2", "--k", "1"]):
+            for trials in ("0", "1000000000"):
+                code, out, err = run_cli([*command, "--trials", trials], timeout=30)
+                assert code == 2
+                assert out == ""
+                assert "--trials" in err
+
+    def test_koszul_input_with_n_rejected(self, tmp_path):
+        code, out, err = run_cli(["koszul", str(tmp_path / "missing.json"), "--n", "2"])
+        assert code == 2
+        assert out == ""
+        assert "--n" in err
+
+    def test_shape_series_with_w_rejected(self):
+        code, out, err = run_cli(["shape", "--series", "B", "--n", "1", "--w", "3"])
+        assert code == 2
+        assert out == ""
+        assert "--series" in err
 
     def test_deeply_nested_json(self):
         proc = subprocess.run(

@@ -12,7 +12,7 @@ from pvtower.exterior import (
     exterior_basis,
     koszul_matrix,
 )
-from pvtower.ring import parse_poly
+from pvtower.ring import one_minus_var
 
 from conftest import covector_strategy
 
@@ -47,13 +47,13 @@ class TestKoszulMatrix:
     def test_rank_one(self):
         m = koszul_matrix(Covector.standard(1), 1)
         assert (m.rows, m.cols) == (1, 1)
-        assert m.entries[0][0] == parse_poly("1 - t1", 1)
+        assert m.entries[0][0] == one_minus_var(1, 1)
 
     def test_rank_two_top_column(self):
         m = koszul_matrix(Covector.standard(2), 2)
         assert (m.rows, m.cols) == (2, 1)
-        assert m.entries[0][0] == parse_poly("-1 + t2", 2)
-        assert m.entries[1][0] == parse_poly("1 - t1", 2)
+        assert m.entries[0][0] == -one_minus_var(2, 2)
+        assert m.entries[1][0] == one_minus_var(1, 2)
 
     @given(covector_strategy(4))
     @settings(max_examples=25)

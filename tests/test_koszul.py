@@ -18,7 +18,7 @@ from pvtower.koszul import (
     generic_rank_exactness,
     split_reduction,
 )
-from pvtower.ring import LaurentPoly, parse_poly
+from pvtower.ring import LaurentPoly, one_minus_var
 
 from conftest import covector_strategy
 
@@ -39,7 +39,7 @@ class TestSymbolic:
         cx = build_symbolic(Covector.standard(1))
         assert cx.ranks == (1, 1)
         m = cx.differential(1)
-        assert m.entries[0][0] == parse_poly("1 - t1", 1)
+        assert m.entries[0][0] == one_minus_var(1, 1)
 
     def test_rank_two_spot_ranks(self):
         cx = build_symbolic(Covector.standard(2))
@@ -168,12 +168,10 @@ class TestJSONSchema:
 
 class TestSplitReduction:
     def test_two_zero_entries(self):
-        v = Covector(
-            (parse_poly("1 - t1", 3), LaurentPoly.zero(3), LaurentPoly.zero(3)), 3
-        )
+        v = Covector((one_minus_var(1, 3), LaurentPoly.zero(3), LaurentPoly.zero(3)), 3)
         z, reduced = split_reduction(v)
         assert z == 2
-        assert reduced.entries == (parse_poly("1 - t1", 3),)
+        assert reduced.entries == (one_minus_var(1, 3),)
 
     def test_no_zero_entries(self):
         v = Covector.standard(2)
@@ -220,7 +218,7 @@ class TestGenericRank:
         # sampled complexes are exact everywhere and the rank bookkeeping is
         # consistent; the surviving torsion cohomology is invisible over Q and
         # is covered by the exact datum-mode route instead.
-        v = Covector((LaurentPoly.zero(2), parse_poly("1 - t2", 2)), 2)
+        v = Covector((LaurentPoly.zero(2), one_minus_var(2, 2)), 2)
         report = generic_rank_exactness(build_symbolic(v), trials=6, seed=0)
         assert report.all_consistent
 

@@ -8,7 +8,6 @@ from pvtower.abgroup import FGAbelianGroup, GradedGroup
 from pvtower.liegroups import (
     SeriesSpec,
     homogeneous_ktheory,
-    homogeneous_tower,
     weyl_enumerate,
     weyl_order,
 )
@@ -89,34 +88,9 @@ class TestHomogeneousKTheory:
 
 
 class TestHomogeneousTower:
-    def test_final_matches_direct_computation(self):
-        for series, n, k in (("A", 3, 1), ("B", 4, 2), ("D", 5, 3)):
-            tower = homogeneous_tower(SeriesSpec(series, n), SeriesSpec(series, k))
-            direct = homogeneous_ktheory(SeriesSpec(series, n), SeriesSpec(series, k))
-            assert tower.final == direct.group
+    """The final vertex of the tower for G_n/G_k, read from homogeneous_ktheory."""
 
     def test_adjacent_pair_total_rank_two(self):
         for series, n in (("A", 2), ("B", 3), ("C", 4), ("D", 4)):
-            tower = homogeneous_tower(SeriesSpec(series, n), SeriesSpec(series, n - 1))
-            assert tower.final.even.free_rank + tower.final.odd.free_rank == 2
-
-    def test_levels_torsion_free_and_unflagged(self):
-        tower = homogeneous_tower(SeriesSpec("A", 4), SeriesSpec("A", 2))
-        assert not tower.ambiguous
-        assert [lvl.level for lvl in tower.levels] == [3, 2, 1]
-        for lvl in tower.levels:
-            assert not lvl.ambiguous
-            assert not lvl.group.has_torsion
-            assert lvl.kernel_module_rank is not None and lvl.kernel_module_rank >= 0
-
-    def test_intermediate_level_contents(self):
-        # n=2, k=1: one level; it keeps spot 0 (a single Z in even degree) and
-        # the kernel of the outgoing differential at spot 1, a rank-one module
-        # over the coefficient ring carried with an odd shift.
-        tower = homogeneous_tower(SeriesSpec("A", 2), SeriesSpec("A", 1))
-        assert len(tower.levels) == 1
-        lvl = tower.levels[0]
-        assert lvl.level == 1
-        assert lvl.group == GradedGroup(Z(1), FGAbelianGroup.trivial())
-        assert lvl.kernel_module_rank == 1
-        assert lvl.kernel_suspension == 1
+            group = homogeneous_ktheory(SeriesSpec(series, n), SeriesSpec(series, n - 1)).group
+            assert group.even.free_rank + group.odd.free_rank == 2
