@@ -28,7 +28,6 @@ from .koszul import (
     convolve_with_exterior,
     datum_cohomology,
     generic_rank_exactness,
-    split_reduction,
 )
 from .liegroups import (
     SeriesSpec,
@@ -86,7 +85,6 @@ __all__ = [
     "pv_rank1",
     "pv_tower",
     "snf",
-    "split_reduction",
     "subquotient",
     "tower_shape",
     "weyl_enumerate",

@@ -39,9 +39,13 @@ EXIT_AMBIGUOUS = 3
 
 _SERIES = ("A", "B", "C", "D")
 
-# `koszul --n 7` costs about 0.1 s per trial; this cap keeps such a run
-# under about 7 s.
-_MAX_TRIALS = 64
+# Inclusive ranges of the size flags.  On a 2-CPU machine `koszul --n 8
+# --trials 64` took 14 s and `oracle --n 12` 3 s (2.5x more per rank);
+# `homog --n 64` keeps every binomial count below 2^63.
+_TRIALS = (1, 64)
+_WITNESS_RANK = (1, 8)
+_HOMOG_N = (1, 64)
+_ORACLE_N = (1, 12)
 
 
 class InputError(ValueError):
@@ -153,8 +157,6 @@ def _cmd_tower(args: argparse.Namespace, payload: bytes) -> tuple[int, str]:
 def _cmd_koszul(args: argparse.Namespace, payload: bytes) -> tuple[int, str]:
     if args.n is not None:
         # Symbolic regularity report for the covector (1 - t_1, ..., 1 - t_n).
-        if args.n < 1:
-            raise InputError("--n must be at least 1")
         cx = build_symbolic(Covector.standard(args.n))
         report = generic_rank_exactness(cx, trials=args.trials, seed=args.seed)
         aug = endpoint_augmentation_surjective(cx)
@@ -246,8 +248,6 @@ def _cmd_homog(args: argparse.Namespace, payload: bytes) -> tuple[int, str]:
 
 
 def _cmd_oracle(args: argparse.Namespace, payload: bytes) -> tuple[int, str]:
-    if args.n < 1:
-        raise InputError("--n must be at least 1")
     match = oracle_compare(args.n)
     if args.output_format == "json":
         out = _dump({"schema": SCHEMA_VERSION, "n": args.n, "match": match})
@@ -297,24 +297,25 @@ _COMMANDS = {
 
 def run(args: argparse.Namespace, payload: bytes) -> tuple[int, str]:
     """Execute one parsed command; returns (exit code, output text)."""
-    try:
-        return _COMMANDS[args.command](args, payload)
-    except InputError:
-        raise
-    except DatumError as exc:
-        raise InputError(str(exc)) from None
+    return _COMMANDS[args.command](args, payload)
 
 
-def _trials(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        value = 0
-    if not 1 <= value <= _MAX_TRIALS:
-        raise argparse.ArgumentTypeError(
-            f"expected an integer in 1..{_MAX_TRIALS}, got {text!r}"
-        )
-    return value
+def _int_in(bounds: tuple[int, int]):
+    """An argparse type accepting the integers lo..hi; anything else exits 2."""
+    lo, hi = bounds
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = lo - 1
+        if not lo <= value <= hi:
+            raise argparse.ArgumentTypeError(
+                f"expected an integer in {lo}..{hi}, got {text!r}"
+            )
+        return value
+
+    return parse
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -343,14 +344,14 @@ def build_parser() -> argparse.ArgumentParser:
         )
     for name in ("rank1", "tower"):
         cmd[name].add_argument("--strict", action="store_true", help="exit 3 on ambiguity flags")
-    koszul_source.add_argument("--n", type=int)
+    koszul_source.add_argument("--n", type=_int_in(_WITNESS_RANK))
     cmd["homog"].add_argument("--series", choices=_SERIES, required=True)
-    cmd["homog"].add_argument("--n", type=int, required=True)
-    cmd["homog"].add_argument("--k", type=int, required=True)
+    cmd["homog"].add_argument("--n", type=_int_in(_HOMOG_N), required=True)
+    cmd["homog"].add_argument("--k", type=_int_in(_WITNESS_RANK), required=True)
     for name in ("koszul", "homog"):
         cmd[name].add_argument("--seed", type=int, default=0)
-        cmd[name].add_argument("--trials", type=_trials, default=8)
-    cmd["oracle"].add_argument("--n", type=int, required=True)
+        cmd[name].add_argument("--trials", type=_int_in(_TRIALS), default=8)
+    cmd["oracle"].add_argument("--n", type=_int_in(_ORACLE_N), required=True)
     cmd["shape"].add_argument("--n", type=int, required=True)
     shape_weyl = cmd["shape"].add_mutually_exclusive_group()
     shape_weyl.add_argument("--series", choices=_SERIES)

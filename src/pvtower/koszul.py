@@ -4,14 +4,19 @@ Symbolic (:class:`SymbolicComplex`): wedge powers of Z^n tensored with a
 Laurent ring, with differentials given by contraction against a
 covector.  Cohomology over the ring is not computed in general; regular
 covectors of the shape (1 - t_i) are resolved by the structure theorem,
-witnessed by seeded generic-rank checks, and covectors with vanishing
-entries are peeled off by :func:`split_reduction`.
+witnessed by seeded generic-rank checks, and directions whose entry
+vanishes are added back by :func:`convolve_with_exterior`.
 
 Datum (:class:`DatumComplex`): a finitely generated Z/2-graded group
 carrying n pairwise commuting graded endomorphisms beta_i; the
 differential is contraction against (1 - beta_1, ..., 1 - beta_n)
 realized as block integer matrices, and cohomology is exact via Smith
 normal form.
+
+Neither builder multiplies differentials: symbolic d d = 0 is the sign
+rule of ``contraction_terms``, which the tests check, and the blocks of
+datum d d are the commutators that ``ModuleDatum`` validation already
+places in the relation lattice.
 """
 
 from __future__ import annotations
@@ -310,11 +315,7 @@ class DatumComplex:
 
 def build_symbolic(v: Covector) -> SymbolicComplex:
     """Koszul complex of contraction against v over the Laurent ring."""
-    diffs = tuple(koszul_matrix(v, j) for j in range(1, v.n + 1))
-    for j in range(v.n - 1):
-        if not (diffs[j] @ diffs[j + 1]).is_zero:
-            raise AssertionError("consecutive Koszul differentials do not compose to zero")
-    return SymbolicComplex(v, diffs)
+    return SymbolicComplex(v, tuple(koszul_matrix(v, j) for j in range(1, v.n + 1)))
 
 
 def _block_contraction(n: int, j: int, blocks: list[IntMatrix], g: int) -> IntMatrix:
@@ -361,20 +362,6 @@ def build_datum(datum: ModuleDatum) -> DatumComplex:
             IntMatrix.identity(g) - e.part(parity) for e in datum.endos
         ]
         diffs = tuple(_block_contraction(n, j, blocks, g) for j in range(1, n + 1))
-        # d_j d_{j+1} lands in the relation lattice; exactly zero for free input.
-        for j in range(n - 1):
-            prod = diffs[j] @ diffs[j + 1]
-            if prod.is_zero:
-                continue
-            rel = spot_relations(datum, j, parity)
-            if rel.cols == 0:
-                raise AssertionError("consecutive differentials do not compose to zero")
-            try:
-                snf(rel).span_coordinates(prod)
-            except LatticeSolveError:
-                raise AssertionError(
-                    "consecutive differentials do not compose to zero modulo relations"
-                ) from None
         per_parity[parity] = diffs
         cycles[parity] = tuple(_cycle_lattice(datum, diffs, d, parity) for d in range(n + 1))
     return DatumComplex(datum, per_parity, cycles)
@@ -420,26 +407,14 @@ def datum_spot_kernel(cx: DatumComplex, d: int) -> GradedGroup:
 
 
 # ---------------------------------------------------------------------------
-# Zero-entry splitting
+# Zero directions
 # ---------------------------------------------------------------------------
-
-
-def split_reduction(v: Covector) -> tuple[int, Covector]:
-    """Count and delete identically-zero entries of v.
-
-    Cohomology of the full complex is the cohomology of the reduced one
-    convolved with the exterior algebra on the deleted directions; the
-    convolution itself is :func:`convolve_with_exterior`.
-    """
-    kept = [p for p in v.entries if not p.is_zero]
-    zeros = v.n - len(kept)
-    return zeros, Covector(tuple(kept), v.nvars)
 
 
 def convolve_with_exterior(spot_groups: list[GradedGroup], z: int) -> list[GradedGroup]:
     """Tensor spot-indexed cohomology with wedge* Z^z.
 
-    Deleted zero directions contribute pure degree shifts: the output at
+    Zero covector directions contribute pure degree shifts: the output at
     spot d collects C(z, a) copies of the input at spot d - a.  Suspension
     bookkeeping happens downstream, where spot d carries shift Sigma^d, so
     the convolution itself works with plain groups.

@@ -4,10 +4,10 @@ Only two facts about a compact group enter the computation: the rank of
 its maximal torus and the order of its Weyl group.  Weyl orders come
 from closed forms with a brute-force signed-permutation enumeration as
 an oracle.  For a nested same-series pair the representation-theoretic
-input reduces to a Koszul complex over Z[t1^{+-1}, ..., tk^{+-1}] whose
-covector has k unit-augmentation entries and n-k zeros; the zeros peel
-off as an exterior algebra and the regular remainder resolves to a
-single Z at the endpoint, witnessed by seeded rank checks.
+input reduces to the Koszul complex of the rank-k standard covector
+(1 - t_1, ..., 1 - t_k) over Z[t1^{+-1}, ..., tk^{+-1}], which resolves
+to a single Z at the endpoint, witnessed by seeded rank checks; the n - k
+remaining directions contribute an exterior algebra by convolution.
 """
 
 from __future__ import annotations
@@ -23,9 +23,7 @@ from .koszul import (
     convolve_with_exterior,
     endpoint_augmentation_surjective,
     generic_rank_exactness,
-    split_reduction,
 )
-from .ring import LaurentPoly, one_minus_var
 from .tower import assemble_final
 
 _MIN_RANK = {"A": 1, "B": 2, "C": 3, "D": 3}
@@ -150,12 +148,6 @@ def _check_pair(big: SeriesSpec, small: SeriesSpec) -> tuple[int, int]:
     return big.rank, small.rank
 
 
-def _homogeneous_covector(n: int, k: int) -> Covector:
-    entries = [one_minus_var(i, k) for i in range(1, k + 1)]
-    entries += [LaurentPoly.zero(k)] * (n - k)
-    return Covector(tuple(entries), k)
-
-
 def homogeneous_ktheory(
     big: SeriesSpec, small: SeriesSpec, trials: int = 8, seed: int = 0
 ) -> HomogeneousKTheory:
@@ -166,9 +158,7 @@ def homogeneous_ktheory(
     coefficient module.
     """
     n, k = _check_pair(big, small)
-    v = _homogeneous_covector(n, k)
-    zeros, reduced = split_reduction(v)
-    regular_cx = build_symbolic(reduced)
+    regular_cx = build_symbolic(Covector.standard(k))
     report = generic_rank_exactness(regular_cx, trials=trials, seed=seed)
     if not report.all_consistent:
         raise RuntimeError(
@@ -182,7 +172,7 @@ def homogeneous_ktheory(
     # (the augmentation quotient) at the endpoint spot.
     regular_spots = [GradedGroup(FGAbelianGroup.free(1), FGAbelianGroup.trivial())]
     regular_spots += [GradedGroup() for _ in range(k)]
-    spot_groups = convolve_with_exterior(regular_spots, zeros)
+    spot_groups = convolve_with_exterior(regular_spots, n - k)
     group = assemble_final(spot_groups)
     return HomogeneousKTheory(
         group=group,

@@ -170,6 +170,22 @@ class TestValidation:
                 assert out == ""
                 assert "--trials" in err
 
+    def test_size_flags_out_of_range_rejected(self):
+        # Past these caps homog overflowed a binomial count and koszul/oracle
+        # ran for tens of seconds; the timeout turns a started run into a failure.
+        for command, flag in (
+            (["homog", "--series", "A", "--n", "68", "--k", "1"], "--n"),
+            (["homog", "--series", "A", "--n", "12", "--k", "9"], "--k"),
+            (["koszul", "--n", "9"], "--n"),
+            (["oracle", "--n", "13"], "--n"),
+            (["oracle", "--n", "0"], "--n"),
+        ):
+            code, out, err = run_cli(command, timeout=10)
+            assert code == 2, command
+            assert out == ""
+            assert f"argument {flag}: expected an integer in" in err
+            assert "Traceback" not in err
+
     def test_koszul_input_with_n_rejected(self, tmp_path):
         code, out, err = run_cli(["koszul", str(tmp_path / "missing.json"), "--n", "2"])
         assert code == 2

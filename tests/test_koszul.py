@@ -1,9 +1,11 @@
-"""Koszul complexes: symbolic builder, datum cohomology, splitting, rank witnesses."""
+"""Koszul complexes: symbolic builder, datum cohomology, zero directions, rank witnesses."""
+
+from math import comb
 
 import pytest
 from hypothesis import given, settings
 
-from pvtower.abgroup import FGAbelianGroup, GradedGroup, IntMatrix
+from pvtower.abgroup import FGAbelianGroup, GradedGroup, IntMatrix, solve_exact
 from pvtower.exterior import Covector
 from pvtower.koszul import (
     DatumError,
@@ -16,7 +18,7 @@ from pvtower.koszul import (
     datum_cohomology,
     endpoint_augmentation_surjective,
     generic_rank_exactness,
-    split_reduction,
+    spot_relations,
 )
 from pvtower.ring import LaurentPoly, one_minus_var
 
@@ -48,9 +50,20 @@ class TestSymbolic:
     @given(covector_strategy(3))
     @settings(max_examples=20)
     def test_random_covector_complex_closes(self, v):
-        cx = build_symbolic(v)  # builder verifies d_j d_{j+1} = 0
+        cx = build_symbolic(v)
         for j in range(1, 3):
             assert (cx.differential(j) @ cx.differential(j + 1)).is_zero
+
+    def test_contraction_sign_rule_closes_through_rank_8(self):
+        # Neither builder checks d_j d_{j+1} = 0; both take their signs from
+        # contraction_terms.  The nonzero commuting scalars 1 - beta_i = -i make
+        # every entry of d_j d_{j+1} a sum of two equal products, which cancel
+        # only when the signs are right.
+        for n in range(1, 9):
+            cx = build_datum(free_datum(1, 0, [([[i + 1]], []) for i in range(1, n + 1)]))
+            for j in range(1, n):
+                prod = cx.differential(j, "even") @ cx.differential(j + 1, "even")
+                assert prod.is_zero, (n, j)
 
 
 class TestDatum:
@@ -107,8 +120,6 @@ class TestDatum:
         ident = GradedEndo(IntMatrix.identity(2), IntMatrix.identity(0))
         datum = ModuleDatum(pres, Presentation.free(0), (ident, ident))
         groups = datum_cohomology(datum)
-        from math import comb
-
         for j, g in enumerate(groups):
             assert g.even == k_group.repeated(comb(2, j))
             assert g.odd.is_trivial
@@ -128,6 +139,38 @@ class TestDatum:
     def test_non_commuting_rejected(self):
         with pytest.raises(DatumError):
             free_datum(2, 0, [([[1, 1], [0, 1]], []), ([[1, 0], [1, 1]], [])])
+
+    def test_commuting_modulo_relations(self):
+        # On (Z/2)^2 the commutator [[4, 0], [0, -4]] of these lifts lies in
+        # the relation lattice, so the datum is accepted and d_1 d_2, which
+        # is made of that commutator, vanishes only modulo the relations.
+        pres = Presentation.of(2, [[2, 0], [0, 2]])
+        b1 = IntMatrix.from_rows([[1, 2], [0, 1]])
+        b2 = IntMatrix.from_rows([[1, 0], [2, 1]])
+        empty = IntMatrix.identity(0)
+        datum = ModuleDatum(
+            pres, Presentation.free(0), (GradedEndo(b1, empty), GradedEndo(b2, empty))
+        )
+        cx = build_datum(datum)
+        prod = cx.differential(1, "even") @ cx.differential(2, "even")
+        assert not prod.is_zero
+        rel = spot_relations(datum, 0, "even")  # d_1 d_2 lands in spot 0
+        assert rel @ solve_exact(rel, prod) == prod
+        # beta = id mod 2, so spot j carries C(2, j) copies of (Z/2)^2.
+        groups = datum_cohomology(datum)
+        assert [g.even for g in groups] == [pres.group().repeated(comb(2, j)) for j in range(3)]
+        assert all(g.odd.is_trivial for g in groups)
+
+    def test_commutator_outside_relations_rejected(self):
+        # Here the commutator is [[1, 0], [0, -1]], which is not in 2Z^2.
+        pres = Presentation.of(2, [[2, 0], [0, 2]])
+        empty = IntMatrix.identity(0)
+        endos = (
+            GradedEndo(IntMatrix.from_rows([[1, 1], [0, 1]]), empty),
+            GradedEndo(IntMatrix.from_rows([[1, 0], [1, 1]]), empty),
+        )
+        with pytest.raises(DatumError, match=r"do not commute \(even part\)"):
+            ModuleDatum(pres, Presentation.free(0), endos)
 
     def test_ill_defined_on_quotient_rejected(self):
         # Z/2 with beta sending the generator to half of it cannot happen;
@@ -167,25 +210,13 @@ class TestJSONSchema:
 
 
 class TestSplitReduction:
-    def test_two_zero_entries(self):
-        v = Covector((one_minus_var(1, 3), LaurentPoly.zero(3), LaurentPoly.zero(3)), 3)
-        z, reduced = split_reduction(v)
-        assert z == 2
-        assert reduced.entries == (one_minus_var(1, 3),)
-
-    def test_no_zero_entries(self):
-        v = Covector.standard(2)
-        z, reduced = split_reduction(v)
-        assert z == 0 and reduced == v
+    """Zero covector directions, added back by convolve_with_exterior."""
 
     def test_all_zero(self):
-        v = Covector((LaurentPoly.zero(2), LaurentPoly.zero(2)), 2)
-        z, reduced = split_reduction(v)
-        assert z == 2 and reduced.n == 0
-        # Empty regular part: cohomology is one Z at spot 0; the convolution
-        # spreads it into the full exterior algebra.
+        # Two zero directions and an empty regular part: cohomology is one Z
+        # at spot 0; the convolution spreads it into the full exterior algebra.
         base = [GradedGroup(Z(1), T())]
-        spots = convolve_with_exterior(base, z)
+        spots = convolve_with_exterior(base, 2)
         assert [g.even for g in spots] == [Z(1), Z(2), Z(1)]
 
     def test_convolution_matches_direct_datum_computation(self):
