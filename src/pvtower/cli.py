@@ -40,12 +40,15 @@ EXIT_AMBIGUOUS = 3
 _SERIES = ("A", "B", "C", "D")
 
 # Inclusive ranges of the size flags.  On a 2-CPU machine `koszul --n 8
-# --trials 64` took 14 s and `oracle --n 12` 3 s (2.5x more per rank);
-# `homog --n 64` keeps every binomial count below 2^63.
+# --trials 64` took under 1 s and `oracle --n 12` 3 s (2.5x more per rank);
+# `homog --n 64` keeps every binomial count below 2^63; at its caps
+# `shape` writes under 30 kB of JSON.
 _TRIALS = (1, 64)
 _WITNESS_RANK = (1, 8)
 _HOMOG_N = (1, 64)
 _ORACLE_N = (1, 12)
+_SHAPE_N = (1, 64)
+_SHAPE_W = (1, 10**6)
 
 
 class InputError(ValueError):
@@ -352,10 +355,10 @@ def build_parser() -> argparse.ArgumentParser:
         cmd[name].add_argument("--seed", type=int, default=0)
         cmd[name].add_argument("--trials", type=_int_in(_TRIALS), default=8)
     cmd["oracle"].add_argument("--n", type=_int_in(_ORACLE_N), required=True)
-    cmd["shape"].add_argument("--n", type=int, required=True)
+    cmd["shape"].add_argument("--n", type=_int_in(_SHAPE_N), required=True)
     shape_weyl = cmd["shape"].add_mutually_exclusive_group()
     shape_weyl.add_argument("--series", choices=_SERIES)
-    shape_weyl.add_argument("--w", type=int, help="Weyl multiplicity")
+    shape_weyl.add_argument("--w", type=_int_in(_SHAPE_W), help="Weyl multiplicity")
     cmd["shape"].add_argument("--dual", action="store_true", help="dual tower labels")
     for p in cmd.values():
         p.add_argument("--format", dest="output_format", choices=("text", "json"), default="text")

@@ -4,8 +4,9 @@ Symbolic (:class:`SymbolicComplex`): wedge powers of Z^n tensored with a
 Laurent ring, with differentials given by contraction against a
 covector.  Cohomology over the ring is not computed in general; regular
 covectors of the shape (1 - t_i) are resolved by the structure theorem,
-witnessed by seeded generic-rank checks, and directions whose entry
-vanishes are added back by :func:`convolve_with_exterior`.
+witnessed by seeded generic-rank checks in F_P (P = 2^61 - 1), and
+directions whose entry vanishes are added back by
+:func:`convolve_with_exterior`.
 
 Datum (:class:`DatumComplex`): a finitely generated Z/2-graded group
 carrying n pairwise commuting graded endomorphisms beta_i; the
@@ -23,7 +24,6 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 from math import comb
 
 from .abgroup import (
@@ -36,11 +36,10 @@ from .abgroup import (
     cokernel,
     hstack,
     kernel_basis,
-    rational_rank,
     snf,
 )
 from .exterior import Covector, contraction_terms, koszul_matrix
-from .ring import PolyMatrix
+from .ring import P, PolyMatrix
 
 PARITIES = ("even", "odd")
 
@@ -462,20 +461,49 @@ class RankExactnessReport:
 _SAMPLE_BOUND = 9
 
 
-def _sample_point(rng: random.Random, nvars: int) -> list[Fraction]:
+def _sample_point(rng: random.Random, nvars: int) -> list[int]:
+    """Residues mod P of random rationals num/den, none of them 0 or 1."""
     point = []
     for _ in range(nvars):
         while True:
             num = rng.randint(-_SAMPLE_BOUND, _SAMPLE_BOUND)
             den = rng.randint(1, _SAMPLE_BOUND)
-            if num == 0:
+            # Skip 0, and 1, the common zero locus of every 1 - t_i.
+            if num == 0 or num == den:
                 continue
-            val = Fraction(num, den)
-            if val == 1:  # the common zero locus of every 1 - t_i
-                continue
-            point.append(val)
+            point.append(num * pow(den, -1, P) % P)
             break
     return point
+
+
+def _rank_mod_p(rows: list[list[int]]) -> int:
+    """Rank over F_P of an integer matrix, by sparse Gaussian elimination.
+
+    Rows are maps from column to nonzero residue.  Each step takes a row as
+    pivot, clears its first column from every other row, and drops it.
+    """
+    live = [r for r in ({c: x % P for c, x in enumerate(row) if x % P} for row in rows) if r]
+    rank = 0
+    while live:
+        pivot = live.pop()
+        col, val = next(iter(pivot.items()))
+        inv = pow(val, -1, P)
+        rest = []
+        for row in live:
+            f = row.get(col)
+            if f:
+                f = f * inv % P
+                for c, y in pivot.items():
+                    x = (row.get(c, 0) - f * y) % P
+                    if x:
+                        row[c] = x
+                    else:
+                        row.pop(c, None)
+            if row:
+                rest.append(row)
+        live = rest
+        rank += 1
+    return rank
 
 
 def generic_rank_exactness(
@@ -483,9 +511,22 @@ def generic_rank_exactness(
 ) -> RankExactnessReport:
     """Monte Carlo exactness witnesses for a symbolic complex.
 
-    Substitutes independent random nonzero rationals for the variables,
-    computes differential ranks over Q, and checks the rank bookkeeping
+    Substitutes independent random nonzero rationals num/den (|num|, den
+    <= 9), read as residues mod P = 2^61 - 1, for the variables, computes
+    differential ranks over F_P, and checks the rank bookkeeping
     rank(d_j) + rank(d_{j+1}) = C(n, j) that exactness at spot j forces.
+
+    The check is sound one way.  Evaluation at the sampled point is a ring
+    map to Q and, since no denominator is divisible by P, to F_P; so
+    d_j d_{j+1} = 0 holds over both fields, which gives rank(d_j) +
+    rank(d_{j+1}) <= C(n, j) over each, and rank over F_P never exceeds
+    rank over Q.
+    So a trial that is consistent mod P has the same ranks over Q and is
+    consistent there: a false pass is impossible.  A false fail needs P to
+    divide a minor.  For ``Covector.standard`` every entry 1 - t_i is
+    (den - num)/den with 0 < |den - num| <= 18 < P, a unit mod P, so both
+    complexes are exact, both have rank C(n-1, j-1) at d_j, and the report
+    is the one over Q with certainty.
     """
     if not isinstance(cx, SymbolicComplex):
         raise ValueError("symbolic complex required")
@@ -500,7 +541,7 @@ def generic_rank_exactness(
         point = _sample_point(rng, nvars)
         ranks = [0] * (n + 2)
         for j in range(1, n + 1):
-            ranks[j] = rational_rank(cx.differential(j).evaluate(point))
+            ranks[j] = _rank_mod_p(cx.differential(j).evaluate(point))
             observed[j] = max(observed[j], ranks[j])
         for j in range(1, n + 1):
             if ranks[j] + ranks[j + 1] != comb(n, j):

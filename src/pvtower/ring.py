@@ -7,19 +7,36 @@ The variable count ``nvars`` is carried on every value and checked at
 every operation boundary; silent broadcasts between rings of different
 rank are the main failure mode this guards against.
 
-Coefficients are arbitrary-precision ints; evaluation is exact over
-``fractions.Fraction``.
+Coefficients are arbitrary-precision ints.  Evaluation happens in the
+prime field F_P with P = 2^61 - 1: a point is a vector of residues and
+negative exponents are modular inverses.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
+from operator import index
 from typing import Iterator, Mapping, Sequence
+
+# The Mersenne prime 2^61 - 1: every evaluation is a residue modulo P.
+P = (1 << 61) - 1
 
 
 class VariableCountMismatch(ValueError):
     """Operands live in Laurent rings with different variable counts."""
+
+
+def _residues(point: Sequence[int], nvars: int) -> list[int]:
+    """The point reduced mod P; every coordinate must be a unit."""
+    if len(point) != nvars:
+        raise ValueError(f"point has {len(point)} coordinates, expected {nvars}")
+    coords = [index(p) % P for p in point]
+    for i, p in enumerate(coords):
+        if p == 0:
+            raise ValueError(
+                f"coordinate {i + 1} is zero mod P; negative exponents are undefined at 0"
+            )
+    return coords
 
 
 def _same_ring(a: "LaurentPoly", b: "LaurentPoly") -> None:
@@ -146,25 +163,18 @@ class LaurentPoly:
 
     # -- evaluation ---------------------------------------------------
 
-    def evaluate(self, point: Sequence[Fraction | int]) -> Fraction:
-        """Exact value at a point with all coordinates nonzero."""
-        if len(point) != self._nvars:
-            raise ValueError(
-                f"point has {len(point)} coordinates, expected {self._nvars}"
-            )
-        coords = [Fraction(p) for p in point]
-        for i, p in enumerate(coords):
-            if p == 0:
-                raise ValueError(
-                    f"coordinate {i + 1} is zero; negative exponents are undefined at 0"
-                )
-        total = Fraction(0)
+    def evaluate(self, point: Sequence[int]) -> int:
+        """The value mod P at a point whose coordinates are units mod P."""
+        return self._value(_residues(point, self._nvars))
+
+    def _value(self, coords: list[int]) -> int:
+        total = 0
         for exps, c in self._terms.items():
-            val = Fraction(c)
-            for p, e in zip(coords, exps):
-                val *= p ** e
-            total += val
-        return total
+            for x, e in zip(coords, exps):
+                if e:
+                    c = c * pow(x, e, P) % P
+            total += c
+        return total % P
 
     def augmentation(self) -> int:
         """Sum of all coefficients (every t_i sent to 1)."""
@@ -262,9 +272,10 @@ class PolyMatrix:
     def is_zero(self) -> bool:
         return all(p.is_zero for row in self.entries for p in row)
 
-    def evaluate(self, point: Sequence[Fraction | int]) -> list[list[Fraction]]:
-        """Entrywise exact evaluation."""
-        return [[p.evaluate(point) for p in row] for row in self.entries]
+    def evaluate(self, point: Sequence[int]) -> list[list[int]]:
+        """Entrywise evaluation mod P, see :meth:`LaurentPoly.evaluate`."""
+        coords = _residues(point, self.nvars)
+        return [[p._value(coords) if p._terms else 0 for p in row] for row in self.entries]
 
     def __str__(self) -> str:
         return "[" + "; ".join(", ".join(str(p) for p in row) for row in self.entries) + "]"

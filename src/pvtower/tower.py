@@ -405,7 +405,10 @@ def iterate_rank1(datum: ModuleDatum, order: list[int] | None = None) -> PVResul
     This is the brute-force assembly path: each step replaces the group
     by the split representative coker (+) Sigma ker with blockwise
     induced actions.  Agrees with :func:`pv_tower` whenever no step is
-    flagged.
+    flagged.  Because it splits every extension and lets the next
+    automorphism act diagonally, it shares the E2 model of
+    :func:`pv_tower`: it checks the arithmetic, not the claim that the
+    split answer is the crossed product's K-theory.
     """
     _automorphism_check(datum)
     n = datum.n

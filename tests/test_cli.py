@@ -186,6 +186,19 @@ class TestValidation:
             assert f"argument {flag}: expected an integer in" in err
             assert "Traceback" not in err
 
+    def test_shape_size_flags_out_of_range_rejected(self):
+        # `shape --n 100000` used to fail on a 4300-digit label naming no flag.
+        for command, flag in (
+            (["shape", "--n", "100000", "--w", "1"], "--n"),
+            (["shape", "--n", "0"], "--n"),
+            (["shape", "--n", "2", "--w", "0"], "--w"),
+        ):
+            code, out, err = run_cli(command, timeout=10)
+            assert code == 2, command
+            assert out == ""
+            assert f"argument {flag}: expected an integer in" in err
+            assert "Traceback" not in err
+
     def test_koszul_input_with_n_rejected(self, tmp_path):
         code, out, err = run_cli(["koszul", str(tmp_path / "missing.json"), "--n", "2"])
         assert code == 2

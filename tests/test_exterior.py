@@ -1,6 +1,5 @@
 """Exterior basis indexing, contraction terms, contraction matrices."""
 
-from fractions import Fraction
 from math import comb
 
 import pytest
@@ -12,7 +11,7 @@ from pvtower.exterior import (
     exterior_basis,
     koszul_matrix,
 )
-from pvtower.ring import one_minus_var
+from pvtower.ring import P, one_minus_var
 
 from conftest import covector_strategy
 
@@ -96,22 +95,24 @@ class TestKoszulMatrix:
     @given(covector_strategy(3))
     @settings(max_examples=25)
     def test_specialization_commutes(self, v):
-        point = [Fraction(2), Fraction(3, 2), Fraction(-5, 3)]
+        # The residues mod P of 2, 3/2 and -5/3.
+        point = [2, 3 * pow(2, -1, P) % P, -5 * pow(3, -1, P) % P]
         evaluated_entries = [p.evaluate(point) for p in v.entries]
         for j in range(1, 4):
             symbolic = koszul_matrix(v, j).evaluate(point)
-            direct = _rational_koszul(evaluated_entries, 3, j)
+            direct = _koszul_mod_p(evaluated_entries, 3, j)
             assert symbolic == direct
 
 
-def _rational_koszul(values, n, j):
-    """Contraction matrix over Q built directly from the sign rule."""
+def _koszul_mod_p(values, n, j):
+    """Contraction matrix over F_P built directly from the sign rule."""
     rows = exterior_basis(n, j - 1)
     cols = exterior_basis(n, j)
     pos = {ix.subset: r for r, ix in enumerate(rows)}
-    grid = [[Fraction(0)] * len(cols) for _ in rows]
+    grid = [[0] * len(cols) for _ in rows]
     for c, S in enumerate(cols):
         for p, s in enumerate(S.subset, start=1):
             sign = -1 if p % 2 == 0 else 1
-            grid[pos[tuple(x for x in S.subset if x != s)]][c] += sign * values[s - 1]
+            r = pos[tuple(x for x in S.subset if x != s)]
+            grid[r][c] = (grid[r][c] + sign * values[s - 1]) % P
     return grid

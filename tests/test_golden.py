@@ -41,6 +41,9 @@ CASES = {
     "koszul_regular_n4": ("koszul", "--n", "4", "--seed", "3"),
     "oracle_n5": ("oracle", "--n", "5"),
     "shape_n3_w2": ("shape", "--n", "3", "--w", "2"),
+    # The largest rank-witness runs: koszul at its --n cap, homog C at k = 6.
+    "koszul_regular_n8": ("koszul", "--n", "8", "--seed", "5"),
+    "homog_C_8_6": ("homog", "--series", "C", "--n", "8", "--k", "6", "--seed", "4387"),
 }
 
 

@@ -1,11 +1,14 @@
 """Koszul complexes: symbolic builder, datum cohomology, zero directions, rank witnesses."""
 
+import random
 from math import comb
 
+import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
+from sympy import Matrix
 
-from pvtower.abgroup import FGAbelianGroup, GradedGroup, IntMatrix, solve_exact
+from pvtower.abgroup import FGAbelianGroup, GradedGroup, IntMatrix, rational_rank, solve_exact
 from pvtower.exterior import Covector
 from pvtower.koszul import (
     DatumError,
@@ -19,10 +22,12 @@ from pvtower.koszul import (
     endpoint_augmentation_surjective,
     generic_rank_exactness,
     spot_relations,
+    _rank_mod_p,
+    _sample_point,
 )
-from pvtower.ring import LaurentPoly, one_minus_var
+from pvtower.ring import P, LaurentPoly, one_minus_var
 
-from conftest import covector_strategy
+from conftest import covector_strategy, int_matrix_strategy
 
 Z = FGAbelianGroup.free
 T = FGAbelianGroup.trivial
@@ -268,3 +273,45 @@ class TestGenericRank:
         datum = free_datum(1, 0, [([[1]], [])])
         with pytest.raises(ValueError):
             generic_rank_exactness(build_datum(datum))
+
+    def test_standard_covector_closed_form(self):
+        # (1 - t_1, ..., 1 - t_n) is regular, so d_j has rank C(n-1, j-1).
+        for n in range(1, 9):
+            report = generic_rank_exactness(build_symbolic(Covector.standard(n)), trials=8, seed=0)
+            for s in report.spots:
+                assert s.observed_rank == comb(n - 1, s.spot - 1)
+                assert s.consistent
+
+    def test_zero_covector_never_passes(self):
+        for n in range(1, 5):
+            v = Covector(tuple(LaurentPoly.zero(n) for _ in range(n)), n)
+            report = generic_rank_exactness(build_symbolic(v), trials=8, seed=0)
+            assert [(s.observed_rank, s.consistent) for s in report.spots] == [(0, False)] * n
+
+    def test_sample_point_avoids_zero_and_one(self):
+        for seed in range(200):
+            point = _sample_point(random.Random(seed), 8)
+            assert len(point) == 8
+            assert all(x % P not in (0, 1) for x in point)
+
+
+@st.composite
+def deficient_int_rows(draw):
+    """Integer matrices up to 8x8, entries in -9..9, some with a repeated or zero row."""
+    grid = [list(row) for row in draw(int_matrix_strategy(max_dim=8)).entries]
+    deficiency = draw(st.sampled_from((None, "repeat", "zero")))
+    target = draw(st.integers(0, len(grid) - 1))
+    if deficiency == "repeat" and len(grid) > 1:
+        source = draw(st.integers(0, len(grid) - 1).filter(lambda i: i != target))
+        grid[target] = list(grid[source])
+    elif deficiency == "zero":
+        grid[target] = [0] * len(grid[0])
+    return grid
+
+
+@given(deficient_int_rows())
+@settings(max_examples=200)
+def test_rank_mod_p_matches_rational_rank(grid):
+    # Hadamard: every minor is at most 9^8 * 8^4 < 1.8e11 < P in absolute
+    # value, so no nonzero minor vanishes mod P and the ranks agree exactly.
+    assert _rank_mod_p(grid) == Matrix(grid).rank() == rational_rank(grid)

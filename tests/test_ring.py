@@ -1,11 +1,10 @@
 """Laurent ring arithmetic, evaluation, augmentation, text form."""
 
-from fractions import Fraction
-
 import pytest
 from hypothesis import given
 
 from pvtower.ring import (
+    P,
     LaurentPoly,
     PolyMatrix,
     VariableCountMismatch,
@@ -38,10 +37,11 @@ class TestExamples:
         assert one_minus_var(1, 2) * one_minus_var(2, 2) == 1 - t(1, 2) - t(2, 2) + t(1, 2) * t(2, 2)
 
     def test_eval_rank_one(self):
-        assert one_minus_var(1, 1).evaluate([2]) == Fraction(-1)
+        assert one_minus_var(1, 1).evaluate([2]) == P - 1
 
     def test_eval_mixed_exponents(self):
-        assert (t(1, 2) * t(2, 2, -1)).evaluate([3, 2]) == Fraction(3, 2)
+        # 3/2 mod P: twice the value is 3.
+        assert (t(1, 2) * t(2, 2, -1)).evaluate([3, 2]) == (P + 3) // 2
 
     def test_aug_of_one_minus_t_vanishes(self):
         assert one_minus_var(1, 1).augmentation() == 0
@@ -65,6 +65,8 @@ class TestErrors:
     def test_eval_zero_coordinate(self):
         with pytest.raises(ValueError):
             t(1, 1, -1).evaluate([0])
+        with pytest.raises(ValueError):
+            t(1, 1, -1).evaluate([P])
 
     def test_eval_wrong_arity(self):
         with pytest.raises(ValueError):
@@ -99,7 +101,7 @@ class TestRingAxioms:
 
     @given(poly_strategy(3))
     def test_eval_at_ones_equals_augmentation(self, p):
-        assert p.evaluate([1, 1, 1]) == p.augmentation()
+        assert p.evaluate([1, 1, 1]) == p.augmentation() % P
 
 
 def test_text_form():
