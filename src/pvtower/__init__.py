@@ -3,90 +3,40 @@
 Koszul complexes over Laurent rings and over finitely generated graded
 abelian groups, Smith-normal-form homology, Pimsner-Voiculescu towers,
 and the K-theory of classical homogeneous spaces.
+
+Importing the package loads no submodule: each public name is imported
+from its module on first access (PEP 562), so ``pv oracle`` never pays
+for the Smith-normal-form layer.
 """
 
-from .abgroup import (
-    FGAbelianGroup,
-    GradedGroup,
-    IntMatrix,
-    SmithNormalForm,
-    cokernel,
-    homology,
-    snf,
-    subquotient,
-)
-from .cubical import CubeFace, cellular_differential, enumerate_faces, oracle_compare
-from .exterior import Covector, ExteriorIndex, contraction_terms, exterior_basis, koszul_matrix
-from .koszul import (
-    DatumComplex,
-    GradedEndo,
-    ModuleDatum,
-    Presentation,
-    SymbolicComplex,
-    build_datum,
-    build_symbolic,
-    convolve_with_exterior,
-    datum_cohomology,
-    generic_rank_exactness,
-)
-from .liegroups import (
-    SeriesSpec,
-    homogeneous_ktheory,
-    weyl_enumerate,
-    weyl_order,
-)
-from .ring import LaurentPoly, PolyMatrix
-from .tower import (
-    PVResult,
-    TowerReport,
-    TowerShape,
-    euler_characteristic,
-    iterate_rank1,
-    pv_rank1,
-    pv_tower,
-    tower_shape,
-)
+from importlib import import_module
 
-__all__ = [
-    "Covector",
-    "CubeFace",
-    "DatumComplex",
-    "ExteriorIndex",
-    "FGAbelianGroup",
-    "GradedEndo",
-    "GradedGroup",
-    "IntMatrix",
-    "LaurentPoly",
-    "ModuleDatum",
-    "PVResult",
-    "PolyMatrix",
-    "Presentation",
-    "SeriesSpec",
-    "SmithNormalForm",
-    "SymbolicComplex",
-    "TowerReport",
-    "TowerShape",
-    "build_datum",
-    "build_symbolic",
-    "cellular_differential",
-    "cokernel",
-    "contraction_terms",
-    "convolve_with_exterior",
-    "datum_cohomology",
-    "enumerate_faces",
-    "euler_characteristic",
-    "exterior_basis",
-    "generic_rank_exactness",
-    "homogeneous_ktheory",
-    "homology",
-    "iterate_rank1",
-    "koszul_matrix",
-    "oracle_compare",
-    "pv_rank1",
-    "pv_tower",
-    "snf",
-    "subquotient",
-    "tower_shape",
-    "weyl_enumerate",
-    "weyl_order",
-]
+# Public name -> the submodule that defines it.
+_EXPORTS = {
+    "FGAbelianGroup": "abgroup", "GradedGroup": "abgroup", "IntMatrix": "abgroup",
+    "SmithNormalForm": "abgroup", "cokernel": "abgroup", "homology": "abgroup",
+    "snf": "abgroup", "subquotient": "abgroup",
+    "CubeFace": "cubical", "cellular_differential": "cubical",
+    "enumerate_faces": "cubical", "oracle_compare": "cubical",
+    "Covector": "exterior", "ExteriorIndex": "exterior",
+    "contraction_terms": "exterior", "exterior_basis": "exterior",
+    "koszul_matrix": "exterior",
+    "DatumComplex": "koszul", "GradedEndo": "koszul", "ModuleDatum": "koszul",
+    "Presentation": "koszul", "SymbolicComplex": "koszul", "build_datum": "koszul",
+    "build_symbolic": "koszul", "convolve_with_exterior": "koszul",
+    "datum_cohomology": "koszul", "generic_rank_exactness": "koszul",
+    "SeriesSpec": "liegroups", "homogeneous_ktheory": "liegroups",
+    "weyl_enumerate": "liegroups", "weyl_order": "liegroups",
+    "LaurentPoly": "ring", "PolyMatrix": "ring",
+    "PVResult": "tower", "TowerReport": "tower", "TowerShape": "tower",
+    "euler_characteristic": "tower", "iterate_rank1": "tower", "pv_rank1": "tower",
+    "pv_tower": "tower", "tower_shape": "tower",
+}
+
+__all__ = sorted(_EXPORTS)
+
+
+def __getattr__(name: str):
+    if name not in _EXPORTS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(import_module(f"{__name__}.{_EXPORTS[name]}"), name)

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from fractions import Fraction
 from math import gcd
 from typing import Iterable, Sequence
 
@@ -382,8 +381,9 @@ def solve_exact(a: IntMatrix, y: IntMatrix) -> IntMatrix:
     return s.Vinv.take_cols(0, w.rows) @ w
 
 
-def rational_rank(rows: Sequence[Sequence[Fraction | int]]) -> int:
-    """Rank over Q by exact Gaussian elimination."""
+def rational_rank(rows: Sequence[Sequence[int]]) -> int:
+    """Rank over Q by exact Gaussian elimination; entries may also be Fractions."""
+    from fractions import Fraction
     a = [[Fraction(x) for x in row] for row in rows]
     if not a:
         return 0

@@ -7,8 +7,8 @@ or JSON (``--format``); JSON outputs carry a top-level ``"schema": 1``
 and are byte-identical across runs for fixed inputs.  Unknown input
 fields are rejected, never ignored.
 
-Exit codes: 0 success, 2 input validation failure, 3 ambiguity flag
-raised under ``--strict``.
+Exit codes: 0 success, 2 input validation failure (running out of
+memory included), 3 ambiguity flag raised under ``--strict``.
 """
 
 from __future__ import annotations
@@ -18,18 +18,9 @@ import json
 import os
 import sys
 
-from .cubical import oracle_compare
-from .koszul import (
-    DatumError,
-    ModuleDatum,
-    build_symbolic,
-    datum_cohomology,
-    endpoint_augmentation_surjective,
-    generic_rank_exactness,
-)
-from .exterior import Covector
-from .liegroups import SeriesSpec, homogeneous_ktheory, weyl_order
-from .tower import euler_characteristic, pv_rank1, pv_tower, tower_shape
+# Each handler imports its own solver when it runs, so a command loads only
+# the layers it uses: `oracle` and `shape` never import the Smith-normal-form
+# layer.
 
 SCHEMA_VERSION = 1
 
@@ -39,10 +30,10 @@ EXIT_AMBIGUOUS = 3
 
 _SERIES = ("A", "B", "C", "D")
 
-# Inclusive ranges of the size flags.  On a 2-CPU machine `koszul --n 8
-# --trials 64` took under 1 s and `oracle --n 12` 3 s (2.5x more per rank);
-# `homog --n 64` keeps every binomial count below 2^63; at its caps
-# `shape` writes under 30 kB of JSON.
+# Inclusive ranges of the size flags.  As `pv` processes on a 2-CPU machine
+# `koszul --n 8 --trials 64` took 0.7 s and `oracle --n 12` 1.0 s (about 2x
+# more per rank); `homog --n 64` keeps every binomial count below 2^63; at
+# its caps `shape` writes under 30 kB of JSON.
 _TRIALS = (1, 64)
 _WITNESS_RANK = (1, 8)
 _HOMOG_N = (1, 64)
@@ -55,7 +46,9 @@ class InputError(ValueError):
     """Invalid command-line input; maps to exit code 2."""
 
 
-def _load_datum(payload: bytes) -> ModuleDatum:
+def _load_datum(payload: bytes):
+    from .koszul import DatumError, ModuleDatum
+
     try:
         obj = json.loads(payload.decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
@@ -102,6 +95,8 @@ def _mark(ok: bool) -> str:
 
 
 def _cmd_rank1(args: argparse.Namespace, payload: bytes) -> tuple[int, str]:
+    from .tower import pv_rank1
+
     datum = _load_datum(payload)
     if datum.n != 1:
         raise InputError(f"datum.n: rank1 needs exactly one endomorphism, got {datum.n}")
@@ -132,6 +127,8 @@ def _cmd_rank1(args: argparse.Namespace, payload: bytes) -> tuple[int, str]:
 
 
 def _cmd_tower(args: argparse.Namespace, payload: bytes) -> tuple[int, str]:
+    from .tower import euler_characteristic, pv_tower
+
     datum = _load_datum(payload)
     try:
         report = pv_tower(datum)
@@ -158,6 +155,14 @@ def _cmd_tower(args: argparse.Namespace, payload: bytes) -> tuple[int, str]:
 
 
 def _cmd_koszul(args: argparse.Namespace, payload: bytes) -> tuple[int, str]:
+    from .exterior import Covector
+    from .koszul import (
+        build_symbolic,
+        datum_cohomology,
+        endpoint_augmentation_surjective,
+        generic_rank_exactness,
+    )
+
     if args.n is not None:
         # Symbolic regularity report for the covector (1 - t_1, ..., 1 - t_n).
         cx = build_symbolic(Covector.standard(args.n))
@@ -193,6 +198,8 @@ def _cmd_koszul(args: argparse.Namespace, payload: bytes) -> tuple[int, str]:
             out = "\n".join(lines) + "\n"
         return EXIT_OK, out
 
+    from .tower import euler_characteristic
+
     datum = _load_datum(payload)
     try:
         groups = datum_cohomology(datum)
@@ -220,6 +227,8 @@ def _cmd_koszul(args: argparse.Namespace, payload: bytes) -> tuple[int, str]:
 
 
 def _cmd_homog(args: argparse.Namespace, payload: bytes) -> tuple[int, str]:
+    from .liegroups import SeriesSpec, homogeneous_ktheory
+
     try:
         big = SeriesSpec(args.series, args.n)
         small = SeriesSpec(args.series, args.k)
@@ -251,6 +260,8 @@ def _cmd_homog(args: argparse.Namespace, payload: bytes) -> tuple[int, str]:
 
 
 def _cmd_oracle(args: argparse.Namespace, payload: bytes) -> tuple[int, str]:
+    from .cubical import oracle_compare
+
     match = oracle_compare(args.n)
     if args.output_format == "json":
         out = _dump({"schema": SCHEMA_VERSION, "n": args.n, "match": match})
@@ -260,6 +271,9 @@ def _cmd_oracle(args: argparse.Namespace, payload: bytes) -> tuple[int, str]:
 
 
 def _cmd_shape(args: argparse.Namespace, payload: bytes) -> tuple[int, str]:
+    from .liegroups import SeriesSpec, weyl_order
+    from .tower import tower_shape
+
     if args.w is not None:
         w = args.w
     elif args.series is not None:
@@ -384,6 +398,9 @@ def main(argv: list[str] | None = None) -> int:
         code, output = run(args, payload)
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INVALID
+    except MemoryError:
+        print("error: out of memory; the input is too large", file=sys.stderr)
         return EXIT_INVALID
     sys.stdout.write(output)
     return code

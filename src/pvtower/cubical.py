@@ -12,6 +12,7 @@ formula.  Comparing the two is the job of :func:`oracle_compare`.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .exterior import Covector, ExteriorIndex, exterior_basis, koszul_matrix
 from .ring import LaurentPoly, PolyMatrix
@@ -40,8 +41,7 @@ def enumerate_faces(n: int, d: int) -> list[CubeFace]:
     return [CubeFace(idx, n) for idx in exterior_basis(n, d)]
 
 
-@dataclass(frozen=True)
-class BoundaryPart:
+class BoundaryPart(NamedTuple):
     """One boundary face of a cube face.
 
     ``translated`` is False for the face pinned at coordinate 0 (the
@@ -78,17 +78,18 @@ def cellular_differential(n: int, d: int) -> PolyMatrix:
     rows = enumerate_faces(n, d - 1)
     cols = enumerate_faces(n, d)
     row_pos = {f.free.subset: r for r, f in enumerate(rows)}
-    zero = LaurentPoly.zero(n)
-    grid = [[zero for _ in cols] for _ in rows]
+    origin = (0,) * n
+    coeffs: dict[tuple[int, int], dict[tuple[int, ...], int]] = {}
     for c, face in enumerate(cols):
         for part in face_boundary(face):
-            r = row_pos[part.face.free.subset]
+            terms = coeffs.setdefault((row_pos[part.face.free.subset], c), {})
             if part.translated:
-                contrib = LaurentPoly.variable(part.direction, n) * (-part.sign)
+                exps = origin[: part.direction - 1] + (1,) + origin[part.direction:]
+                terms[exps] = terms.get(exps, 0) - part.sign
             else:
-                contrib = LaurentPoly.constant(part.sign, n)
-            grid[r][c] = grid[r][c] + contrib
-    return PolyMatrix(len(rows), len(cols), n, tuple(tuple(r) for r in grid))
+                terms[origin] = terms.get(origin, 0) + part.sign
+    entries = {key: p for key, terms in coeffs.items() if (p := LaurentPoly(n, terms))}
+    return PolyMatrix(len(rows), len(cols), n, entries)
 
 
 def oracle_compare(n: int) -> bool:
@@ -105,23 +106,23 @@ def oracle_compare(n: int) -> bool:
     cellular = {d: cellular_differential(n, d) for d in range(1, n + 1)}
     contraction = {d: koszul_matrix(v, d) for d in range(1, n + 1)}
 
-    # One constraint per jointly nonzero entry: sign(row node) * sign(col node)
-    # must equal the +-1 ratio of the two entries.
+    # One constraint per nonzero entry: sign(row node) * sign(col node) must
+    # equal the +-1 ratio of the two entries.  An entry that is nonzero in
+    # only one of the two matrices is a mismatch no sign change can mend.
     edges: list[tuple[tuple[int, int], tuple[int, int], int]] = []
     for d in range(1, n + 1):
-        cell, kos = cellular[d], contraction[d]
-        for r in range(cell.rows):
-            for c in range(cell.cols):
-                a, b = cell.entries[r][c], kos.entries[r][c]
-                if a.is_zero and b.is_zero:
-                    continue
-                if a == b:
-                    ratio = 1
-                elif a == -b:
-                    ratio = -1
-                else:
-                    return False  # entries differ by more than a sign
-                edges.append(((d - 1, r), (d, c), ratio))
+        cell, kos = cellular[d].entries, contraction[d].entries
+        if cell.keys() != kos.keys():
+            return False
+        for (r, c), a in cell.items():
+            b = kos[r, c]
+            if a == b:
+                ratio = 1
+            elif a == -b:
+                ratio = -1
+            else:
+                return False  # entries differ by more than a sign
+            edges.append(((d - 1, r), (d, c), ratio))
 
     # Propagate spot-basis signs over the constraint graph.
     sign: dict[tuple[int, int], int] = {}

@@ -100,14 +100,12 @@ def contraction_terms(n: int, j: int) -> Iterator[tuple[int, int, int, int]]:
 def koszul_matrix(v: Covector, j: int) -> PolyMatrix:
     """Matrix of contraction wedge^j -> wedge^(j-1) in the fixed basis order.
 
-    Shape is C(n, j-1) x C(n, j).
+    Shape is C(n, j-1) x C(n, j); a zero covector entry stores nothing.
     """
-    n = v.n
-    terms = contraction_terms(n, j)
-    zero = LaurentPoly.zero(v.nvars)
-    rows, cols = comb(n, j - 1), comb(n, j)
-    grid = [[zero] * cols for _ in range(rows)]
-    for r, c, s, sign in terms:
-        coeff = v.entry(s)
-        grid[r][c] = coeff if sign > 0 else -coeff
-    return PolyMatrix(rows, cols, v.nvars, tuple(tuple(r) for r in grid))
+    signed = {1: v.entries, -1: tuple(-p for p in v.entries)}
+    entries = {
+        (r, c): signed[sign][s - 1]
+        for r, c, s, sign in contraction_terms(v.n, j)
+        if v.entries[s - 1]
+    }
+    return PolyMatrix(comb(v.n, j - 1), comb(v.n, j), v.nvars, entries)

@@ -56,7 +56,7 @@ class LaurentPoly:
             raise ValueError("nvars must be nonnegative")
         clean: dict[tuple[int, ...], int] = {}
         for exps, coeff in (terms or {}).items():
-            vec = tuple(int(e) for e in exps)
+            vec = tuple(map(int, exps))
             if len(vec) != nvars:
                 raise ValueError(
                     f"exponent vector {vec} has length {len(vec)}, expected {nvars}"
@@ -218,64 +218,62 @@ def one_minus_var(i: int, nvars: int) -> LaurentPoly:
 
 @dataclass(frozen=True)
 class PolyMatrix:
-    """Rectangular matrix over a fixed Laurent ring."""
+    """Rectangular matrix over a fixed Laurent ring, stored by its nonzero entries.
+
+    ``entries`` maps (row, col) to a nonzero polynomial; every other entry
+    is zero.  The map is not copied, so callers must not change it after
+    construction.  Contraction and cochain matrices have at most n nonzeros per
+    column, so nothing here walks the full rows x cols grid except
+    :meth:`evaluate`, whose result is dense.
+    """
 
     rows: int
     cols: int
     nvars: int
-    entries: tuple[tuple[LaurentPoly, ...], ...]
+    entries: dict[tuple[int, int], LaurentPoly]
 
     def __post_init__(self) -> None:
-        if len(self.entries) != self.rows:
-            raise ValueError("row count mismatch")
-        for row in self.entries:
-            if len(row) != self.cols:
-                raise ValueError("column count mismatch")
-            for p in row:
-                if p.nvars != self.nvars:
-                    raise VariableCountMismatch(
-                        f"entry has {p.nvars} variables, matrix has {self.nvars}"
-                    )
+        for (r, c), p in self.entries.items():
+            if not (0 <= r < self.rows and 0 <= c < self.cols):
+                raise ValueError(f"entry ({r}, {c}) outside a {self.rows}x{self.cols} matrix")
+            if p.nvars != self.nvars:
+                raise VariableCountMismatch(
+                    f"entry has {p.nvars} variables, matrix has {self.nvars}"
+                )
+            if not p._terms:
+                raise ValueError(f"zero entry stored at ({r}, {c})")
 
-    @classmethod
-    def from_rows(cls, rows: Sequence[Sequence[LaurentPoly]], nvars: int | None = None) -> "PolyMatrix":
-        if not rows or not rows[0]:
-            if nvars is None:
-                raise ValueError("nvars required for empty matrices")
-            return cls(len(rows), 0 if not rows else len(rows[0]), nvars, tuple(tuple(r) for r in rows))
-        nv = rows[0][0].nvars if nvars is None else nvars
-        return cls(len(rows), len(rows[0]), nv, tuple(tuple(r) for r in rows))
-
-    @classmethod
-    def zero(cls, rows: int, cols: int, nvars: int) -> "PolyMatrix":
-        z = LaurentPoly.zero(nvars)
-        return cls(rows, cols, nvars, tuple(tuple(z for _ in range(cols)) for _ in range(rows)))
+    def entry(self, r: int, c: int) -> LaurentPoly:
+        """The entry at (r, c), zero included."""
+        if not (0 <= r < self.rows and 0 <= c < self.cols):
+            raise IndexError(f"({r}, {c}) outside a {self.rows}x{self.cols} matrix")
+        return self.entries.get((r, c)) or LaurentPoly.zero(self.nvars)
 
     def __matmul__(self, other: "PolyMatrix") -> "PolyMatrix":
         if self.cols != other.rows:
             raise ValueError(f"shape mismatch: {self.rows}x{self.cols} @ {other.rows}x{other.cols}")
         if self.nvars != other.nvars:
             raise VariableCountMismatch("matrices over different rings")
+        by_row: dict[int, list[tuple[int, LaurentPoly]]] = {}
+        for (k, j), b in other.entries.items():
+            by_row.setdefault(k, []).append((j, b))
         zero = LaurentPoly.zero(self.nvars)
-        out = []
-        for i in range(self.rows):
-            row = []
-            for j in range(other.cols):
-                acc = zero
-                for k in range(self.cols):
-                    acc = acc + self.entries[i][k] * other.entries[k][j]
-                row.append(acc)
-            out.append(tuple(row))
-        return PolyMatrix(self.rows, other.cols, self.nvars, tuple(out))
+        out: dict[tuple[int, int], LaurentPoly] = {}
+        for (i, k), a in self.entries.items():
+            for j, b in by_row.get(k, ()):
+                out[i, j] = out.get((i, j), zero) + a * b
+        return PolyMatrix(
+            self.rows, other.cols, self.nvars, {key: p for key, p in out.items() if p}
+        )
 
     @property
     def is_zero(self) -> bool:
-        return all(p.is_zero for row in self.entries for p in row)
+        return not self.entries
 
     def evaluate(self, point: Sequence[int]) -> list[list[int]]:
-        """Entrywise evaluation mod P, see :meth:`LaurentPoly.evaluate`."""
+        """Entrywise evaluation mod P as a dense grid, see :meth:`LaurentPoly.evaluate`."""
         coords = _residues(point, self.nvars)
-        return [[p._value(coords) if p._terms else 0 for p in row] for row in self.entries]
-
-    def __str__(self) -> str:
-        return "[" + "; ".join(", ".join(str(p) for p in row) for row in self.entries) + "]"
+        grid = [[0] * self.cols for _ in range(self.rows)]
+        for (r, c), p in self.entries.items():
+            grid[r][c] = p._value(coords)
+        return grid

@@ -222,6 +222,27 @@ class TestValidation:
         assert b"Traceback" not in proc.stderr
 
 
+class TestStartup:
+    """What one command loads: the start-up cost every `pv` process pays."""
+
+    def _loaded(self, *args):
+        # -X importtime writes one stderr line per module imported, "... | name".
+        proc = subprocess.run(
+            [sys.executable, "-X", "importtime", *args], capture_output=True, check=True, text=True
+        )
+        return {line.rsplit("|", 1)[1].strip() for line in proc.stderr.splitlines() if "|" in line}
+
+    def test_oracle_loads_no_snf_layer(self):
+        loaded = self._loaded("-m", "pvtower.cli", "oracle", "--n", "1", "--format", "json")
+        assert {"pvtower.cubical", "pvtower.ring"} <= loaded
+        assert not {"pvtower.abgroup", "pvtower.koszul", "fractions"} & loaded
+
+    def test_package_import_loads_no_submodule(self):
+        loaded = self._loaded("-c", "import pvtower")
+        assert "pvtower" in loaded
+        assert [m for m in loaded if m.startswith("pvtower.")] == []
+
+
 class TestTowerCommand:
     def test_round_trip_schema(self):
         code, out, _ = run_cli(["tower", "--format", "json"], TORUS2_DATUM)
@@ -325,3 +346,16 @@ def test_color_env_never_is_plain():
         env=env,
     )
     assert b"\x1b[" not in proc.stdout
+
+
+def test_out_of_memory_exits_2(monkeypatch, capsys):
+    from pvtower import cli, cubical
+
+    def exhausted(n):
+        raise MemoryError
+
+    monkeypatch.setattr(cubical, "oracle_compare", exhausted)
+    assert cli.main(["oracle", "--n", "3", "--format", "json"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error: out of memory" in captured.err

@@ -4,9 +4,10 @@ from math import comb
 
 import pytest
 
+from pvtower import cubical, exterior
 from pvtower.abgroup import FGAbelianGroup, IntMatrix, homology
 from pvtower.cubical import cellular_differential, enumerate_faces, oracle_compare
-from pvtower.ring import one_minus_var
+from pvtower.ring import PolyMatrix, one_minus_var
 
 
 class TestFaces:
@@ -36,15 +37,15 @@ class TestCellularDifferential:
     def test_rank_one(self):
         m = cellular_differential(1, 1)
         assert (m.rows, m.cols) == (1, 1)
-        assert m.entries[0][0] == one_minus_var(1, 1)
+        assert m.entry(0, 0) == one_minus_var(1, 1)
 
     def test_square_boundary_column(self):
         # Enumerating the four boundary edges of the square and their deck
         # translations gives ((1 - t1), -(1 - t2)) up to diagonal signs.
         m = cellular_differential(2, 2)
         assert (m.rows, m.cols) == (2, 1)
-        a = m.entries[0][0]
-        b = m.entries[1][0]
+        a = m.entry(0, 0)
+        b = m.entry(1, 0)
         assert a in (-one_minus_var(2, 2), one_minus_var(2, 2))
         assert b in (one_minus_var(1, 2), -one_minus_var(1, 2))
 
@@ -55,10 +56,44 @@ class TestCellularDifferential:
                 assert prod.is_zero
 
 
+def _tampered(change):
+    """koszul_matrix with ``change`` applied to the entries of d_2."""
+
+    def build(v, j):
+        m = exterior.koszul_matrix(v, j)
+        if j != 2:
+            return m
+        entries = dict(m.entries)
+        change(entries)
+        return PolyMatrix(m.rows, m.cols, m.nvars, entries)
+
+    return build
+
+
+def _drop_first(entries):
+    del entries[next(iter(entries))]
+
+
+def _double_first(entries):
+    key = next(iter(entries))
+    entries[key] = 2 * entries[key]
+
+
 class TestOracle:
     def test_matches_contraction_small_ranks(self):
         for n in range(1, 5):
             assert oracle_compare(n)
+
+    def test_matches_contraction_up_to_rank_ten(self):
+        for n in range(5, 11):
+            assert oracle_compare(n)
+
+    @pytest.mark.parametrize("change", [_drop_first, _double_first], ids=["missing", "doubled"])
+    def test_tampered_contraction_rejected(self, monkeypatch, change):
+        # A missing entry is nonzero only in the cellular matrix; a doubled one
+        # differs from its cellular entry by more than a sign.
+        monkeypatch.setattr(cubical, "koszul_matrix", _tampered(change))
+        assert not oracle_compare(3)
 
     def test_rank_validation(self):
         with pytest.raises(ValueError):

@@ -46,13 +46,13 @@ class TestKoszulMatrix:
     def test_rank_one(self):
         m = koszul_matrix(Covector.standard(1), 1)
         assert (m.rows, m.cols) == (1, 1)
-        assert m.entries[0][0] == one_minus_var(1, 1)
+        assert m.entry(0, 0) == one_minus_var(1, 1)
 
     def test_rank_two_top_column(self):
         m = koszul_matrix(Covector.standard(2), 2)
         assert (m.rows, m.cols) == (2, 1)
-        assert m.entries[0][0] == -one_minus_var(2, 2)
-        assert m.entries[1][0] == one_minus_var(1, 2)
+        assert m.entry(0, 0) == -one_minus_var(2, 2)
+        assert m.entry(1, 0) == one_minus_var(1, 2)
 
     @given(covector_strategy(4))
     @settings(max_examples=25)

@@ -46,7 +46,7 @@ class TestSymbolic:
         cx = build_symbolic(Covector.standard(1))
         assert cx.ranks == (1, 1)
         m = cx.differential(1)
-        assert m.entries[0][0] == one_minus_var(1, 1)
+        assert m.entry(0, 0) == one_minus_var(1, 1)
 
     def test_rank_two_spot_ranks(self):
         cx = build_symbolic(Covector.standard(2))

@@ -112,14 +112,43 @@ def test_text_form():
 
 
 def test_poly_matrix_shape_and_product():
-    a = PolyMatrix.from_rows([[one_minus_var(1, 1)]], nvars=1)
-    b = PolyMatrix.from_rows([[1 + t(1, 1)]], nvars=1)
+    a = PolyMatrix(1, 1, 1, {(0, 0): one_minus_var(1, 1)})
+    b = PolyMatrix(1, 1, 1, {(0, 0): 1 + t(1, 1)})
     prod = a @ b
-    assert prod.entries[0][0] == 1 - t(1, 1, 2)
+    assert prod.entry(0, 0) == 1 - t(1, 1, 2)
     assert not prod.is_zero
-    assert PolyMatrix.zero(2, 3, 1).is_zero
+    assert PolyMatrix(2, 3, 1, {}).is_zero
+    assert PolyMatrix(2, 3, 1, {}).entry(1, 2) == LaurentPoly.zero(1)
+
+
+def test_poly_matrix_product_cancels_to_no_entries():
+    # (1 t) @ (t; -1) = 0: the cancelled entry is dropped, not stored as zero.
+    row = PolyMatrix(1, 2, 1, {(0, 0): LaurentPoly.one(1), (0, 1): t(1, 1)})
+    col = PolyMatrix(2, 1, 1, {(0, 0): t(1, 1), (1, 0): -LaurentPoly.one(1)})
+    assert (row @ col).entries == {}
+
+
+def test_poly_matrix_evaluate_is_dense():
+    m = PolyMatrix(2, 2, 1, {(1, 0): one_minus_var(1, 1)})
+    assert m.evaluate([3]) == [[0, 0], [P - 2, 0]]
 
 
 def test_poly_matrix_rejects_mixed_rings():
     with pytest.raises(VariableCountMismatch):
-        PolyMatrix.from_rows([[LaurentPoly.one(1), LaurentPoly.one(2)]], nvars=1)
+        PolyMatrix(1, 2, 1, {(0, 0): LaurentPoly.one(1), (0, 1): LaurentPoly.one(2)})
+
+
+def test_poly_matrix_rejects_stored_zero():
+    with pytest.raises(ValueError, match="zero entry"):
+        PolyMatrix(1, 1, 1, {(0, 0): LaurentPoly.zero(1)})
+
+
+@pytest.mark.parametrize("key", [(2, 0), (0, 3), (-1, 0), (0, -1)])
+def test_poly_matrix_rejects_key_outside_shape(key):
+    with pytest.raises(ValueError, match="outside"):
+        PolyMatrix(2, 3, 1, {key: LaurentPoly.one(1)})
+
+
+def test_poly_matrix_entry_outside_shape():
+    with pytest.raises(IndexError):
+        PolyMatrix(2, 3, 1, {}).entry(2, 0)
