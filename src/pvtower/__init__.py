@@ -16,11 +16,9 @@ _EXPORTS = {
     "FGAbelianGroup": "abgroup", "GradedGroup": "abgroup", "IntMatrix": "abgroup",
     "SmithNormalForm": "abgroup", "cokernel": "abgroup", "homology": "abgroup",
     "snf": "abgroup", "subquotient": "abgroup",
-    "CubeFace": "cubical", "cellular_differential": "cubical",
-    "enumerate_faces": "cubical", "oracle_compare": "cubical",
-    "Covector": "exterior", "ExteriorIndex": "exterior",
-    "contraction_terms": "exterior", "exterior_basis": "exterior",
-    "koszul_matrix": "exterior",
+    "cellular_differential": "cubical", "enumerate_faces": "cubical",
+    "oracle_compare": "cubical",
+    "Covector": "exterior", "contraction_terms": "exterior", "koszul_matrix": "exterior",
     "DatumComplex": "koszul", "GradedEndo": "koszul", "ModuleDatum": "koszul",
     "Presentation": "koszul", "SymbolicComplex": "koszul", "build_datum": "koszul",
     "build_symbolic": "koszul", "convolve_with_exterior": "koszul",

@@ -11,34 +11,21 @@ formula.  Comparing the two is the job of :func:`oracle_compare`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from itertools import combinations
 from typing import NamedTuple
 
-from .exterior import Covector, ExteriorIndex, exterior_basis, koszul_matrix
+from .exterior import Covector, koszul_matrix
 from .ring import LaurentPoly, PolyMatrix
 
-
-@dataclass(frozen=True)
-class CubeFace:
-    """Open face of [0,1[^n through the origin; free coordinates range in ]0,1[."""
-
-    free: ExteriorIndex
-    n: int
-
-    def __post_init__(self) -> None:
-        if self.free.n != self.n:
-            raise ValueError("free-set rank does not match ambient rank")
-
-    @property
-    def dimension(self) -> int:
-        return self.free.degree
+# A face of [0,1[^n through the origin is the sorted tuple of its free
+# coordinates, which range in ]0,1[; the others are pinned at 0.
 
 
-def enumerate_faces(n: int, d: int) -> list[CubeFace]:
-    """All C(n, d) d-dimensional faces, ordered by their free sets."""
+def enumerate_faces(n: int, d: int) -> list[tuple[int, ...]]:
+    """All C(n, d) d-dimensional faces, in lexicographic order of their free sets."""
     if not 0 <= d <= n:
         raise ValueError(f"dimension {d} out of range 0..{n}")
-    return [CubeFace(idx, n) for idx in exterior_basis(n, d)]
+    return list(combinations(range(1, n + 1), d))
 
 
 class BoundaryPart(NamedTuple):
@@ -50,16 +37,16 @@ class BoundaryPart(NamedTuple):
     ``direction``.
     """
 
-    face: CubeFace
+    face: tuple[int, ...]
     direction: int
     sign: int  # orientation sign (-1)^(p-1) from dropping the p-th free coordinate
     translated: bool
 
 
-def face_boundary(face: CubeFace) -> list[BoundaryPart]:
+def face_boundary(face: tuple[int, ...]) -> list[BoundaryPart]:
     parts = []
-    for p, s in enumerate(face.free.subset, start=1):
-        sub = CubeFace(face.free.remove(s), face.n)
+    for p, s in enumerate(face, start=1):
+        sub = face[: p - 1] + face[p:]
         sign = -1 if p % 2 == 0 else 1
         parts.append(BoundaryPart(sub, s, sign, translated=False))
         parts.append(BoundaryPart(sub, s, sign, translated=True))
@@ -77,12 +64,12 @@ def cellular_differential(n: int, d: int) -> PolyMatrix:
         raise ValueError(f"dimension {d} out of range 1..{n}")
     rows = enumerate_faces(n, d - 1)
     cols = enumerate_faces(n, d)
-    row_pos = {f.free.subset: r for r, f in enumerate(rows)}
+    row_pos = {f: r for r, f in enumerate(rows)}
     origin = (0,) * n
     coeffs: dict[tuple[int, int], dict[tuple[int, ...], int]] = {}
     for c, face in enumerate(cols):
         for part in face_boundary(face):
-            terms = coeffs.setdefault((row_pos[part.face.free.subset], c), {})
+            terms = coeffs.setdefault((row_pos[part.face], c), {})
             if part.translated:
                 exps = origin[: part.direction - 1] + (1,) + origin[part.direction:]
                 terms[exps] = terms.get(exps, 0) - part.sign

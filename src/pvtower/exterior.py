@@ -1,11 +1,11 @@
 """Exterior powers of Z^n and contraction against a covector.
 
 Basis elements of wedge^j Z^n are indexed by strictly increasing subsets
-of {1, ..., n} in lexicographic order; that order is the fixed basis
-convention for every matrix produced here.  The sign convention for
-contraction is (-1)^(p-1) where p is the 1-based position of the removed
-index in the sorted subset; :func:`contraction_terms` is the one place
-that applies it.
+of {1, ..., n} in lexicographic order, as ``itertools.combinations``
+yields them; that order is the fixed basis convention for every matrix
+produced here.  The sign convention for contraction is (-1)^(p-1) where
+p is the 1-based position of the removed index in the sorted subset;
+:func:`contraction_terms` is the one place that applies it.
 """
 
 from __future__ import annotations
@@ -16,39 +16,6 @@ from math import comb
 from typing import Iterator
 
 from .ring import LaurentPoly, PolyMatrix, one_minus_var
-
-
-@dataclass(frozen=True, order=True)
-class ExteriorIndex:
-    """A basis element e_S of wedge^|S| Z^n, S a sorted subset of {1..n}."""
-
-    subset: tuple[int, ...]
-    n: int
-
-    def __post_init__(self) -> None:
-        prev = 0
-        for s in self.subset:
-            if s <= prev:
-                raise ValueError(f"subset {self.subset} is not strictly increasing")
-            prev = s
-        if self.subset and not (1 <= self.subset[0] and self.subset[-1] <= self.n):
-            raise ValueError(f"subset {self.subset} not contained in 1..{self.n}")
-
-    @property
-    def degree(self) -> int:
-        return len(self.subset)
-
-    def remove(self, s: int) -> "ExteriorIndex":
-        if s not in self.subset:
-            raise ValueError(f"{s} not in {self.subset}")
-        return ExteriorIndex(tuple(x for x in self.subset if x != s), self.n)
-
-
-def exterior_basis(n: int, j: int) -> list[ExteriorIndex]:
-    """All C(n, j) basis indices of wedge^j Z^n in lexicographic order."""
-    if not 0 <= j <= n:
-        raise ValueError(f"degree {j} out of range 0..{n}")
-    return [ExteriorIndex(S, n) for S in combinations(range(1, n + 1), j)]
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,8 @@
 """Shared hypothesis strategies and small helpers."""
 
+import os
+from pathlib import Path
+
 import hypothesis.strategies as st
 from hypothesis import settings
 
@@ -9,6 +12,12 @@ from pvtower.ring import LaurentPoly
 
 settings.register_profile("default", deadline=None, max_examples=60)
 settings.load_profile("default")
+
+# pyproject's `pythonpath` puts src/ on this process's sys.path only; the CLI
+# tests start `python -m pvtower.cli` in subprocesses, which need it too.
+os.environ["PYTHONPATH"] = os.pathsep.join(
+    filter(None, [str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH")])
+)
 
 
 def poly_strategy(nvars: int, max_terms: int = 4, max_exp: int = 3, max_coeff: int = 6):

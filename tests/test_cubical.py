@@ -6,18 +6,25 @@ import pytest
 
 from pvtower import cubical, exterior
 from pvtower.abgroup import FGAbelianGroup, IntMatrix, homology
-from pvtower.cubical import cellular_differential, enumerate_faces, oracle_compare
+from pvtower.cubical import (
+    cellular_differential,
+    enumerate_faces,
+    face_boundary,
+    oracle_compare,
+)
 from pvtower.ring import PolyMatrix, one_minus_var
 
 
 class TestFaces:
     def test_edges_through_origin(self):
-        faces = enumerate_faces(3, 1)
-        assert len(faces) == 3
-        assert [f.free.subset for f in faces] == [(1,), (2,), (3,)]
+        assert enumerate_faces(3, 1) == [(1,), (2,), (3,)]
+
+    def test_squares_in_lexicographic_order(self):
+        assert enumerate_faces(3, 2) == [(1, 2), (1, 3), (2, 3)]
 
     def test_origin_vertex(self):
-        assert len(enumerate_faces(2, 0)) == 1
+        for n in (2, 5):
+            assert enumerate_faces(n, 0) == [()]
 
     def test_binomial_count(self):
         assert len(enumerate_faces(5, 2)) == 10
@@ -29,8 +36,27 @@ class TestFaces:
             ]
 
     def test_dimension_out_of_range(self):
-        with pytest.raises(ValueError):
-            enumerate_faces(3, 4)
+        for d in (4, -1):
+            with pytest.raises(ValueError):
+                enumerate_faces(3, d)
+
+
+class TestFaceBoundary:
+    def test_orientation_rule(self):
+        # Dropping the p-th free coordinate carries the sign (-1)^(p-1); each
+        # dropped coordinate gives the face at 0 and its translate at 1.
+        assert face_boundary((1, 3)) == [
+            ((3,), 1, 1, False),
+            ((3,), 1, 1, True),
+            ((1,), 3, -1, False),
+            ((1,), 3, -1, True),
+        ]
+        assert [(part.face, part.sign) for part in face_boundary((1, 2, 4))][::2] == [
+            ((2, 4), 1),
+            ((1, 4), -1),
+            ((1, 2), 1),
+        ]
+        assert face_boundary(()) == []
 
 
 class TestCellularDifferential:

@@ -1,45 +1,15 @@
-"""Exterior basis indexing, contraction terms, contraction matrices."""
+"""Contraction matrices against a covector."""
 
+from itertools import combinations
 from math import comb
 
 import pytest
 from hypothesis import given, settings
 
-from pvtower.exterior import (
-    Covector,
-    ExteriorIndex,
-    exterior_basis,
-    koszul_matrix,
-)
+from pvtower.exterior import Covector, koszul_matrix
 from pvtower.ring import P, one_minus_var
 
 from conftest import covector_strategy
-
-
-class TestBasis:
-    def test_three_choose_two(self):
-        assert [ix.subset for ix in exterior_basis(3, 2)] == [(1, 2), (1, 3), (2, 3)]
-
-    def test_degree_zero(self):
-        assert [ix.subset for ix in exterior_basis(5, 0)] == [()]
-
-    def test_counts(self):
-        assert len(exterior_basis(4, 2)) == 6
-        for n in range(7):
-            for j in range(n + 1):
-                assert len(exterior_basis(n, j)) == comb(n, j)
-
-    def test_out_of_range(self):
-        with pytest.raises(ValueError):
-            exterior_basis(3, 4)
-        with pytest.raises(ValueError):
-            exterior_basis(3, -1)
-
-    def test_index_validation(self):
-        with pytest.raises(ValueError):
-            ExteriorIndex((2, 1), 3)
-        with pytest.raises(ValueError):
-            ExteriorIndex((0, 1), 3)
 
 
 class TestKoszulMatrix:
@@ -106,13 +76,13 @@ class TestKoszulMatrix:
 
 def _koszul_mod_p(values, n, j):
     """Contraction matrix over F_P built directly from the sign rule."""
-    rows = exterior_basis(n, j - 1)
-    cols = exterior_basis(n, j)
-    pos = {ix.subset: r for r, ix in enumerate(rows)}
+    rows = list(combinations(range(1, n + 1), j - 1))
+    cols = list(combinations(range(1, n + 1), j))
+    pos = {S: r for r, S in enumerate(rows)}
     grid = [[0] * len(cols) for _ in rows]
     for c, S in enumerate(cols):
-        for p, s in enumerate(S.subset, start=1):
+        for p, s in enumerate(S, start=1):
             sign = -1 if p % 2 == 0 else 1
-            r = pos[tuple(x for x in S.subset if x != s)]
+            r = pos[tuple(x for x in S if x != s)]
             grid[r][c] = (grid[r][c] + sign * values[s - 1]) % P
     return grid
