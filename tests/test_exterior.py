@@ -1,4 +1,4 @@
-"""Contraction matrices against a covector."""
+"""Exterior basis order, contraction terms, contraction matrices."""
 
 from itertools import combinations
 from math import comb
@@ -6,10 +6,32 @@ from math import comb
 import pytest
 from hypothesis import given, settings
 
-from pvtower.exterior import Covector, koszul_matrix
+from pvtower.exterior import Covector, contraction_terms, koszul_matrix
 from pvtower.ring import P, one_minus_var
 
 from conftest import covector_strategy
+
+
+class TestBasis:
+    def test_degree_zero(self):
+        # wedge^0 has the single basis element (), so every term lands in row 0.
+        assert {r for r, _, _, _ in contraction_terms(5, 1)} == {0}
+        assert koszul_matrix(Covector.standard(5), 1).rows == 1
+
+    def test_counts(self):
+        assert len({c for _, c, _, _ in contraction_terms(4, 2)}) == 6
+        for n in range(1, 7):
+            for j in range(1, n + 1):
+                terms = list(contraction_terms(n, j))
+                assert {c for _, c, _, _ in terms} == set(range(comb(n, j)))
+                assert {r for r, _, _, _ in terms} == set(range(comb(n, j - 1)))
+                assert len(terms) == j * comb(n, j)
+
+    def test_out_of_range(self):
+        with pytest.raises(ValueError):
+            contraction_terms(3, 4)
+        with pytest.raises(ValueError):
+            contraction_terms(3, -1)
 
 
 class TestKoszulMatrix:
