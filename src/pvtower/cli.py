@@ -44,15 +44,26 @@ _SHAPE_W = (1, 10**6)
 
 
 class InputError(ValueError):
-    """Invalid command-line input; maps to exit code 2."""
+    """Invalid command-line input; like every ValueError, maps to exit code 2."""
+
+
+def _unique_fields(pairs: list[tuple[str, object]]) -> dict:
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise InputError(f"input: duplicate field {key!r}")
+        obj[key] = value
+    return obj
 
 
 def _load_datum(payload: bytes):
-    from .koszul import DatumError, ModuleDatum
+    from .koszul import ModuleDatum
 
     try:
-        obj = json.loads(payload.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        obj = json.loads(payload.decode("utf-8"), object_pairs_hook=_unique_fields)
+    except InputError:
+        raise
+    except ValueError as exc:  # undecodable bytes, bad syntax, over-long integers
         raise InputError(f"malformed JSON: {exc}") from None
     except RecursionError:
         raise InputError("input: JSON nested too deeply to parse") from None
@@ -65,10 +76,7 @@ def _load_datum(payload: bytes):
         raise InputError(f"input.schema: expected {SCHEMA_VERSION}")
     if "datum" not in obj or not isinstance(obj["datum"], dict):
         raise InputError("input.datum: missing or not an object")
-    try:
-        return ModuleDatum.from_json_dict(obj["datum"])
-    except DatumError as exc:
-        raise InputError(str(exc)) from None
+    return ModuleDatum.from_json_dict(obj["datum"])
 
 
 def _dump(obj: dict) -> str:
@@ -101,10 +109,7 @@ def _cmd_rank1(args: argparse.Namespace, payload: bytes) -> tuple[int, str]:
     datum = _load_datum(payload)
     if datum.n != 1:
         raise InputError(f"datum.n: rank1 needs exactly one endomorphism, got {datum.n}")
-    try:
-        result = pv_rank1(datum)
-    except ValueError as exc:
-        raise InputError(str(exc)) from None
+    result = pv_rank1(datum)
     if args.output_format == "json":
         out = _dump(
             {
@@ -131,10 +136,7 @@ def _cmd_tower(args: argparse.Namespace, payload: bytes) -> tuple[int, str]:
     from .tower import euler_characteristic, pv_tower
 
     datum = _load_datum(payload)
-    try:
-        report = pv_tower(datum)
-    except ValueError as exc:
-        raise InputError(str(exc)) from None
+    report = pv_tower(datum)
     euler = euler_characteristic(list(report.cohomology))
     if args.output_format == "json":
         body = report.to_json_dict()
@@ -166,16 +168,18 @@ def _cmd_koszul(args: argparse.Namespace, payload: bytes) -> tuple[int, str]:
 
     if args.n is not None:
         # Symbolic regularity report for the covector (1 - t_1, ..., 1 - t_n).
+        trials = 8 if args.trials is None else args.trials
+        seed = 0 if args.seed is None else args.seed
         cx = build_symbolic(Covector.standard(args.n))
-        report = generic_rank_exactness(cx, trials=args.trials, seed=args.seed)
+        report = generic_rank_exactness(cx, trials=trials, seed=seed)
         aug = endpoint_augmentation_surjective(cx)
         if args.output_format == "json":
             out = _dump(
                 {
                     "schema": SCHEMA_VERSION,
                     "n": args.n,
-                    "trials": args.trials,
-                    "seed": args.seed,
+                    "trials": trials,
+                    "seed": seed,
                     "spots": [
                         {
                             "spot": s.spot,
@@ -201,11 +205,11 @@ def _cmd_koszul(args: argparse.Namespace, payload: bytes) -> tuple[int, str]:
 
     from .tower import euler_characteristic
 
+    for flag in ("seed", "trials"):
+        if getattr(args, flag) is not None:
+            raise InputError(f"--{flag} applies only with --n")
     datum = _load_datum(payload)
-    try:
-        groups = datum_cohomology(datum)
-    except ValueError as exc:
-        raise InputError(str(exc)) from None
+    groups = datum_cohomology(datum)
     euler = euler_characteristic(groups)
     if args.output_format == "json":
         out = _dump(
@@ -230,12 +234,9 @@ def _cmd_koszul(args: argparse.Namespace, payload: bytes) -> tuple[int, str]:
 def _cmd_homog(args: argparse.Namespace, payload: bytes) -> tuple[int, str]:
     from .liegroups import SeriesSpec, homogeneous_ktheory
 
-    try:
-        big = SeriesSpec(args.series, args.n)
-        small = SeriesSpec(args.series, args.k)
-        result = homogeneous_ktheory(big, small)
-    except ValueError as exc:
-        raise InputError(str(exc)) from None
+    big = SeriesSpec(args.series, args.n)
+    small = SeriesSpec(args.series, args.k)
+    result = homogeneous_ktheory(big, small)
     if args.output_format == "json":
         out = _dump(
             {
@@ -279,16 +280,10 @@ def _cmd_shape(args: argparse.Namespace, payload: bytes) -> tuple[int, str]:
     if args.w is not None:
         w = args.w
     elif args.series is not None:
-        try:
-            w = weyl_order(SeriesSpec(args.series, args.n))
-        except ValueError as exc:
-            raise InputError(str(exc)) from None
+        w = weyl_order(SeriesSpec(args.series, args.n))
     else:
         w = 1
-    try:
-        shape = tower_shape(args.n, w, dual=args.dual)
-    except ValueError as exc:
-        raise InputError(str(exc)) from None
+    shape = tower_shape(args.n, w, dual=args.dual)
     if args.output_format == "json":
         body = shape.to_json_dict()
         body["schema"] = SCHEMA_VERSION
@@ -367,8 +362,9 @@ def build_parser() -> argparse.ArgumentParser:
     cmd["homog"].add_argument("--series", choices=_SERIES, required=True)
     cmd["homog"].add_argument("--n", type=_int_in(_HOMOG_N), required=True)
     cmd["homog"].add_argument("--k", type=_int_in(_WITNESS_RANK), required=True)
-    cmd["koszul"].add_argument("--seed", type=int, default=0)
-    cmd["koszul"].add_argument("--trials", type=_int_in(_TRIALS), default=8)
+    # Defaults 8 and 0 are filled in with --n; a datum rejects both flags.
+    cmd["koszul"].add_argument("--seed", type=int)
+    cmd["koszul"].add_argument("--trials", type=_int_in(_TRIALS))
     cmd["homog"].add_argument("--seed", type=int, default=0, help="has no effect; still accepted")
     cmd["oracle"].add_argument("--n", type=_int_in(_ORACLE_N), required=True)
     cmd["shape"].add_argument("--n", type=_int_in(_SHAPE_N), required=True)
@@ -398,7 +394,7 @@ def main(argv: list[str] | None = None) -> int:
 
     try:
         code, output = run(args, payload)
-    except InputError as exc:
+    except ValueError as exc:  # InputError, DatumError and every solver's input check
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
     except MemoryError:

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from itertools import combinations
 from math import comb
 
 from .abgroup import (
@@ -50,32 +51,34 @@ class DatumError(ValueError):
 
 @dataclass(frozen=True)
 class Presentation:
-    """One parity of the input group: Z^free_rank modulo the row span of relations."""
+    """One parity of the input group: Z^free_rank modulo the column span of relations.
+
+    Each column of ``relations`` is one relation, the form every lattice
+    routine reads.  The JSON wire format lists relations as rows; only
+    :meth:`of` and the ``ModuleDatum`` JSON methods convert between the two.
+    """
 
     free_rank: int
-    relations: IntMatrix  # shape (num_relations, free_rank)
+    relations: IntMatrix  # shape (free_rank, num_relations)
 
     def __post_init__(self) -> None:
         if self.free_rank < 0:
             raise DatumError("negative free rank")
-        if self.relations.cols != self.free_rank:
+        if self.relations.rows != self.free_rank:
             raise DatumError(
-                f"relations have {self.relations.cols} columns, expected {self.free_rank}"
+                f"relations have {self.relations.rows} rows, expected {self.free_rank}"
             )
 
     @classmethod
     def free(cls, rank: int) -> "Presentation":
-        return cls(rank, IntMatrix.zeros(0, rank))
+        return cls(rank, IntMatrix.zeros(rank, 0))
 
     @classmethod
     def of(cls, free_rank: int, relation_rows: list[list[int]]) -> "Presentation":
-        return cls(free_rank, IntMatrix.from_rows(relation_rows, free_rank))
-
-    def relation_columns(self) -> IntMatrix:
-        return self.relations.transpose()
+        return cls(free_rank, IntMatrix.from_rows(relation_rows, free_rank).transpose())
 
     def group(self) -> FGAbelianGroup:
-        return cokernel(self.relation_columns())
+        return cokernel(self.relations)
 
 
 @dataclass(frozen=True)
@@ -106,13 +109,25 @@ class ModuleDatum:
                     raise DatumError(
                         f"endos[{i}].{parity} has shape {mat.rows}x{mat.cols}, expected {g}x{g}"
                     )
-        # Each relation lattice is factored once and serves every membership test.
+        # Each relation lattice is factored once and serves every membership
+        # test: first every endomorphism preserves it, then every commutator
+        # lies in it, parity by parity.
         lattices = {}
         for parity in PARITIES:
-            rel = self.presentation(parity).relation_columns()
+            rel = self.presentation(parity).relations
             lattices[parity] = snf(rel) if rel.cols else None
-        self._validate_well_defined(lattices)
-        self._validate_commuting(lattices)
+            for i, e in enumerate(self.endos):
+                if not _in_lattice(lattices[parity], e.part(parity) @ rel):
+                    raise DatumError(
+                        f"endos[{i}].{parity} does not preserve the relation lattice"
+                    )
+        for parity in PARITIES:
+            for (i, a), (j, b) in combinations(enumerate(self.endos), 2):
+                a, b = a.part(parity), b.part(parity)
+                if not _in_lattice(lattices[parity], a @ b - b @ a):
+                    raise DatumError(
+                        f"endos[{i}] and endos[{j}] do not commute ({parity} part)"
+                    )
 
     @property
     def n(self) -> int:
@@ -124,48 +139,13 @@ class ModuleDatum:
     def group(self) -> GradedGroup:
         return GradedGroup(self.even.group(), self.odd.group())
 
-    def _validate_well_defined(self, lattices: dict[str, SmithNormalForm | None]) -> None:
-        for parity in PARITIES:
-            lattice = lattices[parity]
-            if lattice is None:
-                continue
-            rel = self.presentation(parity).relation_columns()
-            for i, e in enumerate(self.endos):
-                try:
-                    lattice.span_coordinates(e.part(parity) @ rel)
-                except LatticeSolveError:
-                    raise DatumError(
-                        f"endos[{i}].{parity} does not preserve the relation lattice"
-                    ) from None
-
-    def _validate_commuting(self, lattices: dict[str, SmithNormalForm | None]) -> None:
-        for parity in PARITIES:
-            lattice = lattices[parity]
-            for i in range(len(self.endos)):
-                for j in range(i + 1, len(self.endos)):
-                    a = self.endos[i].part(parity)
-                    b = self.endos[j].part(parity)
-                    comm = a @ b - b @ a
-                    if comm.is_zero:
-                        continue
-                    if lattice is None:
-                        raise DatumError(
-                            f"endos[{i}] and endos[{j}] do not commute ({parity} part)"
-                        )
-                    try:
-                        lattice.span_coordinates(comm)
-                    except LatticeSolveError:
-                        raise DatumError(
-                            f"endos[{i}] and endos[{j}] do not commute ({parity} part)"
-                        ) from None
-
     # -- JSON wire format ----------------------------------------------
 
     def to_json_dict(self) -> dict:
         def pres(p: Presentation) -> dict:
             return {
                 "free_rank": p.free_rank,
-                "relations": [list(row) for row in p.relations.entries],
+                "relations": [list(row) for row in p.relations.transpose().entries],
             }
 
         return {
@@ -183,6 +163,14 @@ class ModuleDatum:
 
     @classmethod
     def from_json_dict(cls, obj: dict) -> "ModuleDatum":
+        def int_rows(rows: list, width: int, where: str) -> IntMatrix:
+            for r, row in enumerate(rows):
+                if not isinstance(row, list) or len(row) != width or not all(
+                    type(x) is int for x in row
+                ):
+                    raise DatumError(f"{where}[{r}]: expected a row of {width} integers")
+            return IntMatrix.from_rows(rows, width)
+
         def pres(d: object, where: str) -> Presentation:
             if not isinstance(d, dict):
                 raise DatumError(f"{where}: expected an object")
@@ -197,16 +185,12 @@ class ModuleDatum:
             rel = d.get("relations", [])
             if not isinstance(rel, list):
                 raise DatumError(f"{where}.relations: expected a list of rows")
-            rows = []
-            for r, row in enumerate(rel):
-                if not isinstance(row, list) or len(row) != g or not all(
-                    type(x) is int for x in row
-                ):
-                    raise DatumError(
-                        f"{where}.relations[{r}]: expected a row of {g} integers"
-                    )
-                rows.append(row)
-            return Presentation(g, IntMatrix.from_rows(rows, g))
+            return Presentation(g, int_rows(rel, g, f"{where}.relations").transpose())
+
+        def square(mat: object, size: int, where: str) -> IntMatrix:
+            if not isinstance(mat, list) or len(mat) != size:
+                raise DatumError(f"{where}: expected {size} rows")
+            return int_rows(mat, size, where)
 
         unknown = set(obj) - {"n", "even", "odd", "endos"}
         if unknown:
@@ -220,18 +204,6 @@ class ModuleDatum:
             raise DatumError("datum.endos: expected a list")
         if type(obj["n"]) is not int or obj["n"] != len(obj["endos"]):
             raise DatumError("datum.n: must equal the number of endomorphisms")
-
-        def square(mat: object, size: int, where: str) -> IntMatrix:
-            if not isinstance(mat, list) or len(mat) != size:
-                raise DatumError(f"{where}: expected {size} rows")
-            rows = []
-            for r, row in enumerate(mat):
-                if not isinstance(row, list) or len(row) != size or not all(
-                    type(x) is int for x in row
-                ):
-                    raise DatumError(f"{where}[{r}]: expected a row of {size} integers")
-                rows.append(row)
-            return IntMatrix.from_rows(rows, size)
 
         endos = []
         for i, e in enumerate(obj["endos"]):
@@ -249,6 +221,22 @@ class ModuleDatum:
                 )
             )
         return cls(even, odd, tuple(endos))
+
+
+def _in_lattice(lattice: SmithNormalForm | None, m: IntMatrix) -> bool:
+    """Whether every column of m lies in the factored relation lattice (or m is zero).
+
+    ``lattice`` is None for a parity without relations, whose lattice is 0.
+    """
+    if m.is_zero:
+        return True
+    if lattice is None:
+        return False
+    try:
+        lattice.span_coordinates(m)
+    except LatticeSolveError:
+        return False
+    return True
 
 
 # ---------------------------------------------------------------------------
@@ -330,24 +318,25 @@ def _block_contraction(n: int, j: int, blocks: list[IntMatrix], g: int) -> IntMa
 
 def spot_relations(datum: ModuleDatum, d: int, parity: str) -> IntMatrix:
     """Relation lattice of spot d (columns), one block per basis subset."""
-    rel = datum.presentation(parity).relation_columns()
-    copies = comb(datum.n, d)
-    if rel.cols == 0:
-        return IntMatrix.zeros(copies * rel.rows, 0)
-    return block_diag([rel] * copies)
+    return block_diag([datum.presentation(parity).relations] * comb(datum.n, d))
 
 
 def _cycle_lattice(
     datum: ModuleDatum, diffs: tuple[IntMatrix, ...], d: int, parity: str
 ) -> SmithNormalForm:
-    """Factored lattice {x in spot d : d_d(x) in the target relations} plus own relations."""
-    own_rel = spot_relations(datum, d, parity)
+    """Factored lattice {x in spot d : d_d(x) in the relations R_(d-1) of spot d - 1}.
+
+    It is the projection to spot d of the kernel of [d_d | R_(d-1)]; at
+    spot 0 it is the identity lattice.  The spot's own relations R_d lie
+    inside without being added: validation makes every beta_i preserve the
+    relation lattice, so each block +-(1 - beta_i) of d_d maps relations to
+    relations and d_d maps R_d into R_(d-1).
+    """
+    rows = comb(datum.n, d) * datum.presentation(parity).free_rank
     if d == 0:
-        cycles = IntMatrix.identity(own_rel.rows)
-    else:
-        target_rel = spot_relations(datum, d - 1, parity)
-        cycles = kernel_basis(hstack(diffs[d - 1], target_rel)).take_rows(0, own_rel.rows)
-    return snf(hstack(cycles, own_rel))
+        return snf(IntMatrix.identity(rows))
+    target_rel = spot_relations(datum, d - 1, parity)
+    return snf(kernel_basis(hstack(diffs[d - 1], target_rel)).take_rows(0, rows))
 
 
 def build_datum(datum: ModuleDatum) -> DatumComplex:
@@ -371,22 +360,23 @@ def build_datum(datum: ModuleDatum) -> DatumComplex:
 # ---------------------------------------------------------------------------
 
 
-def datum_spot_cohomology(cx: DatumComplex, d: int) -> GradedGroup:
-    """Homology at spot d of a datum complex, one group per parity.
+def _spot_quotient(cx: DatumComplex, d: int, incoming: bool) -> GradedGroup:
+    """The cycle lattice at spot d modulo the spot relations, per parity.
 
-    The cycle lattice modulo the incoming image and the spot relations.
+    With ``incoming`` the image of d_(d+1) is divided out as well.
     """
-    datum = cx.datum
     parts = {}
     for parity in PARITIES:
-        own_rel = spot_relations(datum, d, parity)
-        if d < cx.n:
-            incoming = cx.differential(d + 1, parity)
-            denominator = hstack(incoming, own_rel)
-        else:
-            denominator = own_rel
+        denominator = spot_relations(cx.datum, d, parity)
+        if incoming:
+            denominator = hstack(cx.differential(d + 1, parity), denominator)
         parts[parity] = cokernel(cx.cycles(d, parity).span_coordinates(denominator))
     return GradedGroup(parts["even"], parts["odd"])
+
+
+def datum_spot_cohomology(cx: DatumComplex, d: int) -> GradedGroup:
+    """Homology at spot d of a datum complex, one group per parity."""
+    return _spot_quotient(cx, d, incoming=d < cx.n)
 
 
 def datum_cohomology(datum: ModuleDatum) -> list[GradedGroup]:
@@ -397,12 +387,7 @@ def datum_cohomology(datum: ModuleDatum) -> list[GradedGroup]:
 
 def datum_spot_kernel(cx: DatumComplex, d: int) -> GradedGroup:
     """The kernel of d_d on the quotient spot-d group (d = 1..n)."""
-    datum = cx.datum
-    parts = {}
-    for parity in PARITIES:
-        own_rel = spot_relations(datum, d, parity)
-        parts[parity] = cokernel(cx.cycles(d, parity).span_coordinates(own_rel))
-    return GradedGroup(parts["even"], parts["odd"])
+    return _spot_quotient(cx, d, incoming=False)
 
 
 # ---------------------------------------------------------------------------

@@ -152,7 +152,7 @@ def _automorphism_check(datum: ModuleDatum) -> None:
     """
     for i, e in enumerate(datum.endos):
         for parity in PARITIES:
-            rel = datum.presentation(parity).relation_columns()
+            rel = datum.presentation(parity).relations
             if not cokernel(hstack(e.part(parity), rel)).is_trivial:
                 raise ValueError(
                     f"endomorphism {i + 1} ({parity} part) is not an automorphism "
@@ -171,12 +171,7 @@ def pv_rank1(datum: ModuleDatum) -> PVResult:
     if datum.n != 1:
         raise ValueError(f"rank-1 solver requires exactly one endomorphism, got {datum.n}")
     report = pv_tower(datum)
-    ker = report.cohomology[1]
-    reasons = tuple(
-        f"kernel term on the {parity} part has torsion {FGAbelianGroup(0, part.torsion)}"
-        for parity, part in (("even", ker.even), ("odd", ker.odd))
-        if part.has_torsion
-    )
+    reasons = tuple(_torsion_reasons(report.cohomology[1], _RANK1_KERNEL))
     return PVResult(report.final, bool(reasons), reasons)
 
 
@@ -238,17 +233,20 @@ def assemble_final(cohomology: list[GradedGroup]) -> GradedGroup:
     return total
 
 
-def _torsion_reasons(cohomology: list[GradedGroup], top: int) -> list[str]:
-    reasons = []
-    for d in range(1, top + 1):
-        h = cohomology[d]
-        for parity, part in (("even", h.even), ("odd", h.odd)):
-            if part.has_torsion:
-                reasons.append(
-                    f"cohomology at spot {d} ({parity} part) has torsion "
-                    f"{FGAbelianGroup(0, part.torsion)}"
-                )
-    return reasons
+# Wordings of the torsion reasons; {parity} and {spot} are filled in per part.
+_COHOMOLOGY = "cohomology at spot {spot} ({parity} part)"
+_LEVEL_KERNEL = "kernel term at spot {spot} ({parity} part)"
+_RANK1_KERNEL = "kernel term on the {parity} part"
+
+
+def _torsion_reasons(g: GradedGroup, term: str, spot: int = 0) -> list[str]:
+    """One reason per parity part of g that has torsion, naming it by ``term``."""
+    return [
+        f"{term.format(parity=parity, spot=spot)} has torsion "
+        f"{FGAbelianGroup(0, part.torsion)}"
+        for parity, part in (("even", g.even), ("odd", g.odd))
+        if part.has_torsion
+    ]
 
 
 def pv_tower(datum: ModuleDatum) -> TowerReport:
@@ -257,43 +255,36 @@ def pv_tower(datum: ModuleDatum) -> TowerReport:
     Level l (l = n-1..1) truncates the complex to spots 0..n-l and is
     the split sum of Sigma^d h_d for d < n-l plus Sigma^(n-l) applied to
     the kernel of the differential at the top retained spot; the final
-    vertex is the full sum over all spots.
+    vertex is the full sum over all spots.  Torsion in h_0 sits on the
+    cokernel side of every triangle and is never a reason.
     """
     _automorphism_check(datum)
     cx = build_datum(datum)
     n = cx.n
     cohomology = [datum_spot_cohomology(cx, d) for d in range(n + 1)]
+    spot_reasons = [[]] + [
+        _torsion_reasons(cohomology[d], _COHOMOLOGY, d) for d in range(1, n + 1)
+    ]
 
     levels = []
     for l in range(n - 1, 0, -1):
         top = n - l
-        group = GradedGroup()
-        for d in range(top):
-            group = group.direct_sum(suspend_by(cohomology[d], d))
         ker = datum_spot_kernel(cx, top)
-        group = group.direct_sum(suspend_by(ker, top))
-        reasons = _torsion_reasons(cohomology, top - 1)
-        for parity, part in (("even", ker.even), ("odd", ker.odd)):
-            if part.has_torsion:
-                reasons.append(
-                    f"kernel term at spot {top} ({parity} part) has torsion "
-                    f"{FGAbelianGroup(0, part.torsion)}"
-                )
+        reasons = sum(spot_reasons[:top], []) + _torsion_reasons(ker, _LEVEL_KERNEL, top)
         levels.append(
             TowerLevel(
                 level=l,
-                group=group,
+                group=assemble_final(cohomology[:top] + [ker]),
                 ambiguous=bool(reasons),
                 reasons=tuple(reasons),
             )
         )
 
-    final = assemble_final(cohomology)
-    final_reasons = _torsion_reasons(cohomology, n)
+    final_reasons = sum(spot_reasons, [])
     return TowerReport(
         n=n,
         levels=tuple(levels),
-        final=final,
+        final=assemble_final(cohomology),
         ambiguous=bool(final_reasons),
         reasons=tuple(final_reasons),
         cohomology=tuple(cohomology),
@@ -331,19 +322,16 @@ def _step_rank1(
     """
     remaining = [e for i, e in enumerate(endos) if i != index]
     step = endos[index]
-    reasons: list[str] = []
 
     parts: dict[str, dict] = {}
     for parity in PARITIES:
         pres = presentations[parity]
         g = pres.free_rank
-        rel = pres.relation_columns()
+        rel = pres.relations
         one_minus = IntMatrix.identity(g) - step[parity]
 
         # Cokernel block: same generators, relations grown by im(1 - beta).
-        coker_pres = Presentation(
-            g, hstack(rel, one_minus).transpose()
-        )
+        coker_pres = Presentation(g, hstack(rel, one_minus))
         coker_endos = [e[parity] for e in remaining]
 
         # Kernel block: generators a lattice basis of {x : (1-beta)x in L}.
@@ -352,8 +340,7 @@ def _step_rank1(
         basis = column_span_basis(span)
         r = basis.cols
         if r:
-            ker_rel_span = kernel_basis(hstack(basis, rel)).take_rows(0, r)
-            ker_pres = Presentation(r, ker_rel_span.transpose())
+            ker_pres = Presentation(r, kernel_basis(hstack(basis, rel)).take_rows(0, r))
         else:
             ker_pres = Presentation.free(0)
         ker_endos = []
@@ -363,13 +350,8 @@ def _step_rank1(
             else:
                 coords = IntMatrix.zeros(0, 0)
             ker_endos.append(coords)
-        ker_group = subquotient(span, rel) if g else FGAbelianGroup.trivial()
-        if ker_group.has_torsion:
-            reasons.append(
-                f"kernel term on the {parity} part has torsion "
-                f"{FGAbelianGroup(0, ker_group.torsion)}"
-            )
         parts[parity] = {
+            "ker_group": subquotient(span, rel) if g else FGAbelianGroup.trivial(),
             "coker_pres": coker_pres,
             "coker_endos": coker_endos,
             "ker_pres": ker_pres,
@@ -380,9 +362,7 @@ def _step_rank1(
         # Direct sum of the cokernel block of parity a and kernel block of b.
         pres = Presentation(
             a["coker_pres"].free_rank + b["ker_pres"].free_rank,
-            block_diag(
-                [a["coker_pres"].relation_columns(), b["ker_pres"].relation_columns()]
-            ).transpose(),
+            block_diag([a["coker_pres"].relations, b["ker_pres"].relations]),
         )
         mats = [
             block_diag([ca, kb])
@@ -396,7 +376,8 @@ def _step_rank1(
     new_endos = [
         {"even": em, "odd": om} for em, om in zip(even_mats, odd_mats)
     ]
-    return new_pres, new_endos, reasons
+    kernels = GradedGroup(parts["even"]["ker_group"], parts["odd"]["ker_group"])
+    return new_pres, new_endos, _torsion_reasons(kernels, _RANK1_KERNEL)
 
 
 def iterate_rank1(datum: ModuleDatum, order: list[int] | None = None) -> PVResult:

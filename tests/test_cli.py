@@ -1,10 +1,14 @@
 """CLI behaviour: outputs, schemas, exit codes, determinism."""
 
+import argparse
+import io
 import json
 import os
 import re
 import subprocess
 import sys
+
+import pytest
 
 README = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "README.md")
 
@@ -39,6 +43,12 @@ TORUS2_DATUM = {
             {"even": [[1]], "odd": []},
         ],
     },
+}
+
+
+NON_AUTOMORPHISM_DATUM = {
+    "schema": 1,
+    "datum": {**ROTATION_DATUM["datum"], "endos": [{"even": [[2]], "odd": [[1]]}]},
 }
 
 
@@ -211,6 +221,40 @@ class TestValidation:
         assert out == ""
         assert "--series" in err
 
+    def test_over_long_integer_exits_2(self):
+        # json.loads raises a plain ValueError past Python's 4300-digit limit.
+        payload = json.dumps(TORSION_DATUM).replace("[[2]]", f"[[{'7' * 4301}]]", 1).encode()
+        for command in ("rank1", "tower", "koszul"):
+            proc = subprocess.run(
+                [sys.executable, "-m", "pvtower.cli", command], input=payload, capture_output=True
+            )
+            assert proc.returncode == 2, command
+            assert proc.stdout == b""
+            assert proc.stderr.startswith(b"error: malformed JSON: Exceeds the limit")
+
+    def test_duplicate_field_rejected(self):
+        rotation = json.dumps(ROTATION_DATUM, separators=(",", ":"))
+        even = '"even":{"free_rank":1,"relations":[]},'
+        for text, key in (
+            (rotation[:-1] + ',"schema":1}', "schema"),
+            (rotation.replace(even, even * 2, 1), "even"),
+        ):
+            proc = subprocess.run(
+                [sys.executable, "-m", "pvtower.cli", "tower"],
+                input=text.encode(),
+                capture_output=True,
+            )
+            assert proc.returncode == 2, text
+            assert proc.stdout == b""
+            assert proc.stderr.decode() == f"error: input: duplicate field '{key}'\n"
+
+    def test_koszul_datum_rejects_witness_flags(self):
+        for flags, named in ((["--seed", "3"], "--seed"), (["--trials", "4"], "--trials")):
+            code, out, err = run_cli(["koszul", *flags], TORUS2_DATUM)
+            assert code == 2
+            assert out == ""
+            assert err == f"error: {named} applies only with --n\n"
+
     def test_deeply_nested_json(self):
         proc = subprocess.run(
             [sys.executable, "-m", "pvtower.cli", "tower"],
@@ -220,6 +264,48 @@ class TestValidation:
         assert proc.returncode == 2
         assert b"nested too deeply" in proc.stderr
         assert b"Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize(
+    "argv, stdin_obj, message",
+    [
+        (["rank1"], NON_AUTOMORPHISM_DATUM, "endomorphism 1 (even part) is not an automorphism"),
+        (["tower"], NON_AUTOMORPHISM_DATUM, "endomorphism 1 (even part) is not an automorphism"),
+        (["homog", "--series", "A", "--n", "3", "--k", "3"], None, "need k < n, got k=3, n=3"),
+        (["shape", "--series", "B", "--n", "1"], None, "B-series rank must be at least 2, got 1"),
+    ],
+)
+def test_handler_value_error_exits_2(argv, stdin_obj, message):
+    # cli.main is the one place a ValueError from any layer becomes exit 2.
+    code, out, err = run_cli(argv, stdin_obj)
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: {message}")
+    assert err.count("\n") == 1
+
+
+def test_readme_flag_table_matches_parser():
+    from pvtower.cli import build_parser
+
+    with open(README, encoding="utf-8") as fh:
+        text = fh.read()
+    table = re.search(r"\| subcommand \| flags \|\n\| --- \| --- \|\n((?:\|.*\n)+)", text).group(1)
+    subparsers = next(
+        a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+    ).choices
+    documented = {}
+    for row in table.splitlines():
+        names, flags = row.strip().strip("|").split("|")
+        for name in re.findall(r"`(\w+)`", names):
+            documented[name] = set(re.findall(r"`\[?([\w-]+)\]?`", flags))
+    assert set(documented) == set(subparsers)
+    for name, sub in subparsers.items():
+        options = {
+            option
+            for action in sub._actions
+            for option in action.option_strings or [action.metavar or action.dest]
+        }
+        assert documented[name] == options - {"-h", "--help", "--format"}, name
 
 
 class TestStartup:
@@ -335,17 +421,29 @@ class TestOtherCommands:
         assert labels == ["C^2 (x) t(A)", "S^1 C^2 (x) t(A)", "A >< Ghat"]
 
 
-def test_color_env_never_is_plain():
-    import os
+class _Terminal(io.StringIO):
+    def isatty(self):
+        return True
 
-    env = dict(os.environ, PV_COLOR="never")
-    proc = subprocess.run(
-        [sys.executable, "-m", "pvtower.cli", "rank1"],
-        input=json.dumps(ROTATION_DATUM).encode(),
-        capture_output=True,
-        env=env,
+
+def test_color_env_never_is_plain(monkeypatch):
+    # On a terminal `auto` colours, so only PV_COLOR=never can make this plain.
+    from pvtower import cli
+
+    monkeypatch.setattr(sys, "stdout", _Terminal())
+    monkeypatch.setenv("PV_COLOR", "never")
+    assert (cli._mark(True), cli._mark(False)) == ("ok", "AMBIGUOUS")
+
+
+def test_color_auto_on_a_terminal(monkeypatch):
+    from pvtower import cli
+
+    monkeypatch.setattr(sys, "stdout", _Terminal())
+    monkeypatch.delenv("PV_COLOR", raising=False)
+    assert (cli._mark(True), cli._mark(False)) == (
+        "\x1b[32mok\x1b[0m",
+        "\x1b[33mAMBIGUOUS\x1b[0m",
     )
-    assert b"\x1b[" not in proc.stdout
 
 
 def test_out_of_memory_exits_2(monkeypatch, capsys):

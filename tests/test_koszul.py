@@ -189,6 +189,22 @@ class TestDatum:
                 (GradedEndo(bad, IntMatrix.identity(0)),),
             )
 
+    def test_ill_defined_reported_before_non_commuting(self):
+        # The even parts do not commute modulo 2Z^2, and the odd swap does not
+        # preserve the odd relation lattice Z(2, 0).  Every well-definedness
+        # check runs before any commutator check.
+        even = Presentation.of(2, [[2, 0], [0, 2]])
+        odd = Presentation.of(2, [[2, 0]])
+        swap = IntMatrix.from_rows([[0, 1], [1, 0]])
+        endos = (
+            GradedEndo(IntMatrix.from_rows([[1, 1], [0, 1]]), swap),
+            GradedEndo(IntMatrix.from_rows([[1, 0], [1, 1]]), IntMatrix.identity(2)),
+        )
+        with pytest.raises(
+            DatumError, match=r"^endos\[0\]\.odd does not preserve the relation lattice$"
+        ):
+            ModuleDatum(even, odd, endos)
+
 
 class TestJSONSchema:
     def test_round_trip(self):

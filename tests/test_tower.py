@@ -10,7 +10,14 @@ import pytest
 from hypothesis import given, settings
 
 from pvtower.abgroup import FGAbelianGroup, GradedGroup, IntMatrix
-from pvtower.koszul import GradedEndo, ModuleDatum, Presentation
+from pvtower.koszul import (
+    GradedEndo,
+    ModuleDatum,
+    Presentation,
+    build_datum,
+    datum_cohomology,
+    spot_relations,
+)
 from pvtower.tower import (
     euler_characteristic,
     iterate_rank1,
@@ -124,7 +131,7 @@ def _cyclic_parity(draw):
         c = draw(small)
         endo = _shear(g, a, b, c) @ endo @ _shear(g, a, b, -c)
         lattice = _shear(g, a, b, c) @ lattice
-    return Presentation(g, lattice.transpose()), endo
+    return Presentation(g, lattice), endo
 
 
 @st.composite
@@ -144,6 +151,59 @@ def test_rank1_matches_iterated_oracle(datum):
     assert res.group == oracle.group
     assert res.ambiguous == oracle.ambiguous
     assert [f"step 1: {r}" for r in res.reasons] == list(oracle.reasons)
+
+
+@st.composite
+def _cyclic_power_datum(draw):
+    """n = 1..3 commuting automorphisms: powers of one automorphism per parity."""
+    (even, even_endo), (odd, odd_endo) = draw(_cyclic_parity()), draw(_cyclic_parity())
+    endos = []
+    for _ in range(draw(st.integers(1, 3))):
+        k = draw(st.integers(1, 2))
+        endos.append(
+            GradedEndo(
+                even_endo if k == 1 else even_endo @ even_endo,
+                odd_endo if k == 1 else odd_endo @ odd_endo,
+            )
+        )
+    return ModuleDatum(even, odd, tuple(endos))
+
+
+def _with_redundant_relations(pres, data):
+    """The same group: relation rows grown by duplicates, zeros and combinations, reordered."""
+    rows = [list(col) for col in pres.relations.transpose().entries]
+    for _ in range(data.draw(st.integers(0, 3))):
+        kind = data.draw(st.sampled_from(("duplicate", "zero", "combination")))
+        if kind == "zero" or not rows:
+            extra = [0] * pres.free_rank
+        elif kind == "duplicate":
+            extra = data.draw(st.sampled_from(rows))
+        else:
+            coeffs = [data.draw(st.integers(-3, 3)) for _ in rows]
+            extra = [sum(c * row[i] for c, row in zip(coeffs, rows)) for i in range(pres.free_rank)]
+        rows.append(list(extra))
+    return Presentation.of(pres.free_rank, data.draw(st.permutations(rows)))
+
+
+@given(_cyclic_power_datum(), st.data())
+def test_redundant_relations_change_no_report(datum, data):
+    again = ModuleDatum(
+        _with_redundant_relations(datum.even, data),
+        _with_redundant_relations(datum.odd, data),
+        datum.endos,
+    )
+    assert datum_cohomology(again) == datum_cohomology(datum)
+    assert pv_tower(again) == pv_tower(datum)
+
+
+@given(_cyclic_power_datum())
+def test_cycle_lattice_contains_the_spot_relations(datum):
+    # The cycle lattice is factored without the spot's own relations; every
+    # quotient read from it needs them inside.
+    cx = build_datum(datum)
+    for d in range(cx.n + 1):
+        for parity in ("even", "odd"):
+            cx.cycles(d, parity).span_coordinates(spot_relations(datum, d, parity))
 
 
 class TestTower:
