@@ -12,13 +12,14 @@ always reduced to invariant-factor canonical form, so equality of
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cached_property
 from math import gcd
 from typing import Iterable, Sequence
 
+from ._record import record, set_field
 
-@dataclass(frozen=True)
+
+@record
 class IntMatrix:
     """Immutable rectangular matrix with arbitrary-precision integer entries."""
 
@@ -26,14 +27,18 @@ class IntMatrix:
     cols: int
     entries: tuple[tuple[int, ...], ...]
 
-    def __post_init__(self) -> None:
-        if self.rows < 0 or self.cols < 0:
+    def __init__(self, rows: int, cols: int, entries: tuple[tuple[int, ...], ...]) -> None:
+        # Built thousands of times per job: skips the generic record __init__.
+        if rows < 0 or cols < 0:
             raise ValueError("negative dimensions")
-        if len(self.entries) != self.rows:
+        if len(entries) != rows:
             raise ValueError("row count mismatch")
-        for row in self.entries:
-            if len(row) != self.cols:
+        for row in entries:
+            if len(row) != cols:
                 raise ValueError("column count mismatch")
+        set_field(self, "rows", rows)
+        set_field(self, "cols", cols)
+        set_field(self, "entries", entries)
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence[int]], cols: int | None = None) -> "IntMatrix":
@@ -193,7 +198,7 @@ def _replay(ops: Sequence[tuple[int, int, int]], m: IntMatrix, inverse: bool = F
     return IntMatrix(m.rows, m.cols, tuple(map(tuple, a)))
 
 
-@dataclass(frozen=True)
+@record
 class SmithNormalForm:
     """M = U @ D @ V with U, V unimodular and D a nonnegative divisor chain.
 
@@ -430,7 +435,7 @@ def normalize_invariant_factors(factors: Iterable[int]) -> tuple[int, ...]:
     return tuple(work)
 
 
-@dataclass(frozen=True)
+@record
 class FGAbelianGroup:
     """Isomorphism class of a finitely generated abelian group.
 
@@ -439,19 +444,27 @@ class FGAbelianGroup:
     isomorphism.
     """
 
-    free_rank: int = 0
-    torsion: tuple[int, ...] = ()
+    free_rank: int
+    torsion: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        if self.free_rank < 0:
+    # Built and compared often: both skip the generic record methods.
+    def __init__(self, free_rank: int = 0, torsion: tuple[int, ...] = ()) -> None:
+        if free_rank < 0:
             raise ValueError("negative free rank")
         prev = 1
-        for t in self.torsion:
+        for t in torsion:
             if t < 2:
                 raise ValueError(f"torsion order {t} < 2")
             if t % prev:
-                raise ValueError(f"torsion {self.torsion} is not a divisor chain")
+                raise ValueError(f"torsion {torsion} is not a divisor chain")
             prev = t
+        set_field(self, "free_rank", free_rank)
+        set_field(self, "torsion", torsion)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self.free_rank == other.free_rank and self.torsion == other.torsion
+        return NotImplemented
 
     @classmethod
     def trivial(cls) -> "FGAbelianGroup":
@@ -536,12 +549,12 @@ def homology(d_in: IntMatrix, d_out: IntMatrix) -> FGAbelianGroup:
     return subquotient(kernel_basis(d_out), d_in)
 
 
-@dataclass(frozen=True)
+@record
 class GradedGroup:
     """Z/2-graded finitely generated abelian group."""
 
-    even: FGAbelianGroup = field(default_factory=FGAbelianGroup.trivial)
-    odd: FGAbelianGroup = field(default_factory=FGAbelianGroup.trivial)
+    even: FGAbelianGroup = FGAbelianGroup()
+    odd: FGAbelianGroup = FGAbelianGroup()
 
     def suspend(self) -> "GradedGroup":
         return GradedGroup(self.odd, self.even)

@@ -31,7 +31,7 @@ EXIT_AMBIGUOUS = 3
 _SERIES = ("A", "B", "C", "D")
 
 # Inclusive ranges of the size flags.  As `pv` processes on a 2-CPU machine
-# `koszul --n 8 --trials 64` took 0.7 s and `oracle --n 12` 1.0 s (about 2x
+# `koszul --n 8 --trials 64` took 0.2 s and `oracle --n 12` 0.5 s (about 2x
 # more per rank); `homog --n 64` keeps every binomial count below 2^63;
 # `homog --k` keeps the 1..8 range of `koszul --n` until homog has a measured
 # cost of its own; at its caps `shape` writes under 30 kB of JSON.
@@ -106,10 +106,7 @@ def _mark(ok: bool) -> str:
 def _cmd_rank1(args: argparse.Namespace, payload: bytes) -> tuple[int, str]:
     from .tower import pv_rank1
 
-    datum = _load_datum(payload)
-    if datum.n != 1:
-        raise InputError(f"datum.n: rank1 needs exactly one endomorphism, got {datum.n}")
-    result = pv_rank1(datum)
+    result = pv_rank1(_load_datum(payload))
     if args.output_format == "json":
         out = _dump(
             {

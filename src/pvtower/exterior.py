@@ -10,15 +10,15 @@ p is the 1-based position of the removed index in the sorted subset;
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
 from math import comb
 from typing import Iterator
 
+from ._record import record
 from .ring import LaurentPoly, PolyMatrix, one_minus_var
 
 
-@dataclass(frozen=True)
+@record
 class Covector:
     """An element of Hom(Z^n (x) R, R): entries[i] is the coefficient of e_{i+1}*."""
 

@@ -23,10 +23,10 @@ places in the relation lattice.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from itertools import combinations
 from math import comb
 
+from ._record import record
 from .abgroup import (
     FGAbelianGroup,
     GradedGroup,
@@ -49,7 +49,7 @@ class DatumError(ValueError):
     """The module datum violates one of its structural invariants."""
 
 
-@dataclass(frozen=True)
+@record
 class Presentation:
     """One parity of the input group: Z^free_rank modulo the column span of relations.
 
@@ -81,7 +81,7 @@ class Presentation:
         return cokernel(self.relations)
 
 
-@dataclass(frozen=True)
+@record
 class GradedEndo:
     """A degree-zero endomorphism: one square matrix per parity, columns are images."""
 
@@ -92,7 +92,7 @@ class GradedEndo:
         return self.even if parity == "even" else self.odd
 
 
-@dataclass(frozen=True)
+@record
 class ModuleDatum:
     """Graded group presentation with n commuting graded endomorphisms."""
 
@@ -244,7 +244,7 @@ def _in_lattice(lattice: SmithNormalForm | None, m: IntMatrix) -> bool:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record
 class SymbolicComplex:
     """Contraction against a covector over the Laurent ring.
 
@@ -270,7 +270,7 @@ class SymbolicComplex:
         return self.diffs[j - 1]
 
 
-@dataclass(frozen=True)
+@record
 class DatumComplex:
     """Contraction against (1 - beta_1, ..., 1 - beta_n) on a module datum, per parity.
 
@@ -419,7 +419,7 @@ def convolve_with_exterior(spot_groups: list[GradedGroup], z: int) -> list[Grade
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record
 class SpotRankReport:
     spot: int
     module_rank: int  # rank of the free middle module at this spot
@@ -427,7 +427,7 @@ class SpotRankReport:
     consistent: bool  # rank d_j + rank d_{j+1} == C(n, j) in every trial
 
 
-@dataclass(frozen=True)
+@record
 class RankExactnessReport:
     n: int
     trials: int
@@ -461,13 +461,13 @@ def _sample_point(rng: random.Random, nvars: int) -> list[int]:
     return point
 
 
-def _rank_mod_p(rows: list[list[int]]) -> int:
-    """Rank over F_P of an integer matrix, by sparse Gaussian elimination.
+def _rank_mod_p(rows: list[dict[int, int]]) -> int:
+    """Rank over F_P of the sparse rows :meth:`PolyMatrix.evaluate` gives; consumes them.
 
-    Rows are maps from column to nonzero residue.  Each step takes a row as
-    pivot, clears its first column from every other row, and drops it.
+    Each step takes a row as pivot, clears its first column from every other
+    row, and drops it.
     """
-    live = [r for r in ({c: x % P for c, x in enumerate(row) if x % P} for row in rows) if r]
+    live = [row for row in rows if row]
     rank = 0
     while live:
         pivot = live.pop()
@@ -524,9 +524,10 @@ def generic_rank_exactness(
     consistent = [True] * (n + 1)
     for _ in range(trials):
         point = _sample_point(rng, nvars)
+        values: dict = {}  # every d_j has entries +-v_i: evaluate each once per trial
         ranks = [0] * (n + 2)
         for j in range(1, n + 1):
-            ranks[j] = _rank_mod_p(cx.differential(j).evaluate(point))
+            ranks[j] = _rank_mod_p(cx.differential(j).evaluate(point, values))
             observed[j] = max(observed[j], ranks[j])
         for j in range(1, n + 1):
             if ranks[j] + ranks[j + 1] != comb(n, j):

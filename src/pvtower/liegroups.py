@@ -13,9 +13,9 @@ an exterior algebra by convolution.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import factorial
 
+from ._record import record
 from .abgroup import FGAbelianGroup, GradedGroup
 from .koszul import convolve_with_exterior
 from .tower import assemble_final
@@ -24,7 +24,7 @@ _MIN_RANK = {"A": 1, "B": 2, "C": 3, "D": 3}
 _ENUM_RANK_CAP = 7
 
 
-@dataclass(frozen=True)
+@record
 class SeriesSpec:
     """A classical simple series member: A_n, B_n, C_n or D_n."""
 
@@ -120,7 +120,7 @@ def weyl_enumerate(spec: SeriesSpec) -> int:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record
 class HomogeneousKTheory:
     group: GradedGroup
     spot_groups: tuple[GradedGroup, ...]  # cohomology at wedge^d spots, d = 0..n

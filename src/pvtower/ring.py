@@ -14,9 +14,10 @@ negative exponents are modular inverses.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from operator import index
 from typing import Iterator, Mapping, Sequence
+
+from ._record import record
 
 # The Mersenne prime 2^61 - 1: every evaluation is a residue modulo P.
 P = (1 << 61) - 1
@@ -216,15 +217,14 @@ def one_minus_var(i: int, nvars: int) -> LaurentPoly:
     return LaurentPoly.one(nvars) - LaurentPoly.variable(i, nvars)
 
 
-@dataclass(frozen=True)
+@record
 class PolyMatrix:
     """Rectangular matrix over a fixed Laurent ring, stored by its nonzero entries.
 
     ``entries`` maps (row, col) to a nonzero polynomial; every other entry
     is zero.  The map is not copied, so callers must not change it after
     construction.  Contraction and cochain matrices have at most n nonzeros per
-    column, so nothing here walks the full rows x cols grid except
-    :meth:`evaluate`, whose result is dense.
+    column, so nothing here walks the full rows x cols grid.
     """
 
     rows: int
@@ -270,10 +270,15 @@ class PolyMatrix:
     def is_zero(self) -> bool:
         return not self.entries
 
-    def evaluate(self, point: Sequence[int]) -> list[list[int]]:
-        """Entrywise evaluation mod P as a dense grid, see :meth:`LaurentPoly.evaluate`."""
+    def evaluate(self, point: Sequence[int], values: dict | None = None) -> list[dict[int, int]]:
+        """Nonzero values mod P, a {column: value} map per row; ``values`` caches each entry."""
         coords = _residues(point, self.nvars)
-        grid = [[0] * self.cols for _ in range(self.rows)]
+        values = {} if values is None else values
+        rows: list[dict[int, int]] = [{} for _ in range(self.rows)]
         for (r, c), p in self.entries.items():
-            grid[r][c] = p._value(coords)
-        return grid
+            x = values.get(p)
+            if x is None:
+                x = values[p] = p._value(coords)
+            if x:
+                rows[r][c] = x
+        return rows

@@ -16,9 +16,9 @@ not, and we never guess.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import comb
 
+from ._record import record
 from .abgroup import (
     FGAbelianGroup,
     GradedGroup,
@@ -46,7 +46,7 @@ from .koszul import (
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record
 class TowerObjectShape:
     kind: str  # "trivial-coefficient" | "D-term" | "crossed-product"
     suspension: int  # mod 2
@@ -54,7 +54,7 @@ class TowerObjectShape:
     label: str
 
 
-@dataclass(frozen=True)
+@record
 class TowerShape:
     n: int
     w: int
@@ -137,7 +137,7 @@ def tower_shape(n: int, w: int, dual: bool = False) -> TowerShape:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record
 class PVResult:
     group: GradedGroup
     ambiguous: bool
@@ -169,7 +169,7 @@ def pv_rank1(datum: ModuleDatum) -> PVResult:
     torsion kernel term leaves the extension unresolved and is flagged.
     """
     if datum.n != 1:
-        raise ValueError(f"rank-1 solver requires exactly one endomorphism, got {datum.n}")
+        raise ValueError(f"datum.n: rank1 needs exactly one endomorphism, got {datum.n}")
     report = pv_tower(datum)
     reasons = tuple(_torsion_reasons(report.cohomology[1], _RANK1_KERNEL))
     return PVResult(report.final, bool(reasons), reasons)
@@ -180,7 +180,7 @@ def pv_rank1(datum: ModuleDatum) -> PVResult:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record
 class TowerLevel:
     level: int
     group: GradedGroup
@@ -199,7 +199,7 @@ class TowerLevel:
         }
 
 
-@dataclass(frozen=True)
+@record
 class TowerReport:
     n: int
     levels: tuple[TowerLevel, ...]  # l = n-1 down to 1

@@ -10,7 +10,9 @@ import sys
 
 import pytest
 
-README = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "README.md")
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+README = os.path.join(ROOT, "README.md")
+GOLDEN = os.path.join(ROOT, "tests", "golden")
 
 ROTATION_DATUM = {
     "schema": 1,
@@ -284,6 +286,18 @@ def test_handler_value_error_exits_2(argv, stdin_obj, message):
     assert err.count("\n") == 1
 
 
+def test_rank1_rule_stated_once():
+    # pv rank1 and pv_rank1 reject a datum with two endomorphisms in the same words.
+    from pvtower.koszul import ModuleDatum
+    from pvtower.tower import pv_rank1
+
+    message = "datum.n: rank1 needs exactly one endomorphism, got 2"
+    assert run_cli(["rank1"], TORUS2_DATUM) == (2, "", f"error: {message}\n")
+    with pytest.raises(ValueError) as exc:
+        pv_rank1(ModuleDatum.from_json_dict(TORUS2_DATUM["datum"]))
+    assert str(exc.value) == message
+
+
 def test_readme_flag_table_matches_parser():
     from pvtower.cli import build_parser
 
@@ -317,6 +331,26 @@ class TestStartup:
             [sys.executable, "-X", "importtime", *args], capture_output=True, check=True, text=True
         )
         return {line.rsplit("|", 1)[1].strip() for line in proc.stderr.splitlines() if "|" in line}
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["rank1", os.path.join(GOLDEN, "rank1_rotation.in.json")],
+            ["tower", os.path.join(GOLDEN, "tower_torus_n4.in.json")],
+            ["koszul", os.path.join(GOLDEN, "koszul_shift_n6_g2.in.json")],
+            ["koszul", "--n", "3"],
+            ["homog", "--series", "A", "--n", "5", "--k", "3"],
+            ["oracle", "--n", "2"],
+            ["shape", "--series", "B", "--n", "3"],
+        ],
+        ids=["rank1", "tower", "koszul-datum", "koszul-n", "homog", "oracle", "shape"],
+    )
+    def test_no_code_generating_imports(self, argv):
+        # The value types are built without dataclasses, which loads inspect,
+        # ast and dis: about 10 ms of every pv process.
+        loaded = self._loaded("-m", "pvtower.cli", *argv, "--format", "json")
+        assert any(name.startswith("pvtower.") for name in loaded)
+        assert not {"dataclasses", "inspect"} & loaded
 
     def test_oracle_loads_no_snf_layer(self):
         loaded = self._loaded("-m", "pvtower.cli", "oracle", "--n", "1", "--format", "json")

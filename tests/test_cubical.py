@@ -133,8 +133,9 @@ def test_all_ones_specialization_gives_torus_homology():
         mats = []
         for d in range(1, n + 1):
             evaluated = cellular_differential(n, d).evaluate([1] * n)
+            cols = comb(n, d)
             mats.append(
-                IntMatrix.from_rows([[int(x) for x in row] for row in evaluated], comb(n, d))
+                IntMatrix.from_rows([[row.get(c, 0) for c in range(cols)] for row in evaluated], cols)
             )
         for d in range(n + 1):
             d_out = mats[d - 1] if d >= 1 else IntMatrix.zeros(0, 1)

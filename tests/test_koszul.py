@@ -330,4 +330,5 @@ def deficient_int_rows(draw):
 def test_rank_mod_p_matches_rational_rank(grid):
     # Hadamard: every minor is at most 9^8 * 8^4 < 1.8e11 < P in absolute
     # value, so no nonzero minor vanishes mod P and the ranks agree exactly.
-    assert _rank_mod_p(grid) == Matrix(grid).rank() == rational_rank(grid)
+    rows = [{c: x % P for c, x in enumerate(row) if x % P} for row in grid]
+    assert _rank_mod_p(rows) == Matrix(grid).rank() == rational_rank(grid)

@@ -128,9 +128,17 @@ def test_poly_matrix_product_cancels_to_no_entries():
     assert (row @ col).entries == {}
 
 
-def test_poly_matrix_evaluate_is_dense():
+def test_poly_matrix_evaluate_is_sparse():
     m = PolyMatrix(2, 2, 1, {(1, 0): one_minus_var(1, 1)})
-    assert m.evaluate([3]) == [[0, 0], [P - 2, 0]]
+    assert m.evaluate([3]) == [{}, {0: P - 2}]
+    # A zero value stores nothing.
+    assert m.evaluate([1]) == [{}, {}]
+    # Each distinct entry is evaluated once, and never when ``values`` has it.
+    twice = PolyMatrix(1, 2, 1, {(0, 0): one_minus_var(1, 1), (0, 1): one_minus_var(1, 1)})
+    values = {}
+    assert twice.evaluate([3], values) == [{0: P - 2, 1: P - 2}]
+    assert values == {one_minus_var(1, 1): P - 2}
+    assert twice.evaluate([3], {one_minus_var(1, 1): 5}) == [{0: 5, 1: 5}]
 
 
 def test_poly_matrix_rejects_mixed_rings():
