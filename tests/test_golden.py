@@ -35,6 +35,11 @@ CASES = {
     "tower_torus_n4": ("tower",),
     "tower_dense_n2_g14": ("tower",),
     "koszul_shift_n6_g2": ("koszul",),
+    # (Z/2)^2 with lifts that commute only modulo the relations, flagged at
+    # spots 1 and 2; and the cat map alternating with its inverse, where
+    # every group vanishes.
+    "tower_noncommuting_mod2": ("tower",),
+    "tower_acyclic_n8": ("tower",),
     # Symbolic commands.
     "homog_A_5_3": ("homog", "--series", "A", "--n", "5", "--k", "3", "--seed", "4"),
     "homog_C_4_3": ("homog", "--series", "C", "--n", "4", "--k", "3", "--seed", "2"),
