@@ -1,15 +1,14 @@
 """Finitely generated abelian groups and exact integer linear algebra.
 
-The workhorse is Smith normal form.  ``snf`` computes the diagonal and
-records the elementary row and column operations that produced it; the
-transforms U, V and their inverses are built from that record only when
-a caller reads them, so cokernels and ranks cost a diagonal and nothing
-more.  A subquotient factors its numerator once and reads the
-denominator's coordinates off the recorded row operations.  Groups are
-always reduced to invariant-factor canonical form, so equality of
-``FGAbelianGroup`` values is isomorphism.
+:func:`cokernel` reads only invariant factors, so it runs a sparse
+elimination that records nothing.  ``snf`` computes Smith normal form and
+records its elementary row and column operations, because its callers
+read transforms: lattice membership (``span_coordinates``), lattice bases
+and the iterated rank-1 oracle's kernels and solves.  U, V and their
+inverses are built from that record only when read.  Groups are always
+in invariant-factor canonical form, so ``FGAbelianGroup`` equality is
+isomorphism.
 """
-
 from __future__ import annotations
 
 from functools import cached_property
@@ -158,17 +157,12 @@ def hstack(a: IntMatrix, b: IntMatrix) -> IntMatrix:
 
 
 def block_diag(blocks: Sequence[IntMatrix]) -> IntMatrix:
-    rows = sum(b.rows for b in blocks)
     cols = sum(b.cols for b in blocks)
-    grid = [[0] * cols for _ in range(rows)]
-    r0 = c0 = 0
+    out, c0 = [], 0
     for b in blocks:
-        for i in range(b.rows):
-            for j in range(b.cols):
-                grid[r0 + i][c0 + j] = b.entries[i][j]
-        r0 += b.rows
+        out += [(0,) * c0 + row + (0,) * (cols - c0 - b.cols) for row in b.entries]
         c0 += b.cols
-    return IntMatrix.from_rows(grid, cols)
+    return IntMatrix(len(out), cols, tuple(out))
 
 
 # ---------------------------------------------------------------------------
@@ -244,8 +238,15 @@ class SmithNormalForm:
     def V(self) -> IntMatrix:
         return _replay(self.col_ops, IntMatrix.identity(self.cols), inverse=True).transpose()
 
+    @cached_property
+    def basis(self) -> IntMatrix:
+        """The columns d_i * U[:, i] (d_i != 0), a basis of M's column span."""
+        scale = self.diag[: self.rank]
+        rows = (tuple(d * x for d, x in zip(scale, row)) for row in self.U.entries)
+        return IntMatrix(self.rows, len(scale), tuple(rows))
+
     def span_coordinates(self, y: IntMatrix) -> IntMatrix:
-        """X with B @ X = y, B the basis d_i * U[:, i] (d_i != 0) of M's column span.
+        """X with B @ X = y, for B the column-span :attr:`basis`.
 
         Reads Uinv @ y off the row operations, without forming Uinv;
         raises LatticeSolveError when a column of y lies outside the span.
@@ -370,11 +371,7 @@ def kernel_basis(m: IntMatrix) -> IntMatrix:
 
 def column_span_basis(m: IntMatrix) -> IntMatrix:
     """Columns form a basis of the lattice spanned by the columns of m."""
-    s = snf(m)
-    scale = s.diag[: s.rank]
-    return IntMatrix(
-        m.rows, s.rank, tuple(tuple(d * x for d, x in zip(scale, row)) for row in s.U.entries)
-    )
+    return snf(m).basis
 
 
 def solve_exact(a: IntMatrix, y: IntMatrix) -> IntMatrix:
@@ -513,23 +510,72 @@ class FGAbelianGroup:
 
 
 def cokernel(m: IntMatrix) -> FGAbelianGroup:
-    """Z^rows modulo the column span of m."""
-    diag = snf(m).diagonal()
-    nonzero = [x for x in diag if x != 0]
-    return FGAbelianGroup.from_invariants(m.rows - len(nonzero), nonzero)
+    """Z^rows modulo the column span of m, by a sparse elimination that records nothing.
+
+    Rows are {column: value} maps, indexed from each column to its rows.
+    The pivot is the first unit found, else an entry of least |value|.  Row
+    operations clear its column; once the column holds only the pivot,
+    column operations just reduce the pivot's row modulo the pivot.  A
+    remainder becomes the next pivot; a pivot alone in its row and column
+    is the cyclic order |pivot|, and both are dropped.
+    """
+    rows = [{j: x for j, x in enumerate(row) if x} for row in m.entries]
+    holders: dict[int, set[int]] = {}
+    for i, row in enumerate(rows):
+        for j in row:
+            holders.setdefault(j, set()).add(i)
+    orders = []
+    while True:
+        best = (0, 0, 0)
+        for r, row in enumerate(rows):
+            for c, x in row.items():
+                if not best[0] or abs(x) < best[0]:
+                    best = (abs(x), r, c)
+            if best[0] == 1:
+                break
+        if not best[0]:
+            return FGAbelianGroup.from_invariants(m.rows - len(orders), orders)
+        _, i, j = best
+        while True:
+            prow = rows[i]
+            p = prow[j]
+            for k in holders[j] - {i}:
+                row, q = rows[k], rows[k][j] // p
+                for c, v in prow.items() if q else ():
+                    x = row.get(c, 0) - q * v
+                    if x:
+                        row[c] = x
+                        holders[c].add(k)
+                    else:
+                        del row[c]
+                        holders[c].discard(k)
+            rest = holders[j] - {i}
+            if rest:
+                i = min(rest, key=lambda k: abs(rows[k][j]))
+                continue
+            for c in [c for c in prow if c != j]:
+                prow[c] %= p
+                if not prow[c]:
+                    del prow[c]
+                    holders[c].discard(i)
+            if len(prow) == 1:
+                break
+            j = min((c for c in prow if c != j), key=lambda c: abs(prow[c]))
+        holders[j].discard(i)
+        rows[i] = {}
+        orders.append(abs(p))
 
 
 def kernel_rank(m: IntMatrix) -> int:
-    return m.cols - len([x for x in snf(m).diagonal() if x != 0])
+    return m.cols - m.rows + cokernel(m).free_rank
 
 
 def subquotient(numerator: IntMatrix, denominator: IntMatrix) -> FGAbelianGroup:
     """The group (column span of numerator) / (column span of denominator).
 
     The denominator lattice must be contained in the numerator lattice;
-    LatticeSolveError otherwise.  The numerator is factored once; the
-    denominator's coordinates in its column-span basis then present the
-    group, whose invariant factors need only a diagonal SNF.
+    LatticeSolveError otherwise.  The numerator is factored once, and the
+    denominator's coordinates in its column-span basis present the group.
     """
     if numerator.rows != denominator.rows:
         raise ValueError("ambient rank mismatch")

@@ -10,6 +10,7 @@ p is the 1-based position of the removed index in the sorted subset;
 
 from __future__ import annotations
 
+from functools import cached_property
 from itertools import combinations
 from math import comb
 from typing import Iterator
@@ -45,6 +46,11 @@ class Covector:
         """Coefficient of e_i*, i in 1..n."""
         return self.entries[i - 1]
 
+    @cached_property
+    def negated(self) -> tuple[LaurentPoly, ...]:
+        """The entries negated, built once for the matrices of every degree."""
+        return tuple(-p for p in self.entries)
+
 
 def contraction_terms(n: int, j: int) -> Iterator[tuple[int, int, int, int]]:
     """Nonzero terms of contraction wedge^j Z^n -> wedge^(j-1) Z^n.
@@ -69,7 +75,7 @@ def koszul_matrix(v: Covector, j: int) -> PolyMatrix:
 
     Shape is C(n, j-1) x C(n, j); a zero covector entry stores nothing.
     """
-    signed = {1: v.entries, -1: tuple(-p for p in v.entries)}
+    signed = {1: v.entries, -1: v.negated}
     entries = {
         (r, c): signed[sign][s - 1]
         for r, c, s, sign in contraction_terms(v.n, j)

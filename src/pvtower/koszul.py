@@ -8,16 +8,22 @@ witnessed by seeded generic-rank checks in F_P (P = 2^61 - 1), and
 directions whose entry vanishes are added back by
 :func:`convolve_with_exterior`.
 
-Datum (:class:`DatumComplex`): a finitely generated Z/2-graded group
-carrying n pairwise commuting graded endomorphisms beta_i; the
-differential is contraction against (1 - beta_1, ..., 1 - beta_n)
-realized as block integer matrices, and cohomology is exact via Smith
-normal form.
+Datum (:class:`DatumComplex`): a finitely generated Z/2-graded group,
+per parity Z^g modulo a relation lattice with basis B (g x r), carrying n
+graded endomorphisms beta_i that commute modulo the relations.  Its
+Koszul differential d, contraction against (1 - beta_1, ..., 1 - beta_n),
+has d d = 0 only modulo B.  Each parity is instead read off one complex
+of free groups, T_d = P_d + Q_(d-1) with P_d the spot and Q_d = Z^(C(n, d) r),
+
+    delta_d = [[d_d, B], [-h_d, -d'_(d-1)]],
+
+which maps onto the Koszul complex of the quotient groups with the cone
+of the identity of Q as kernel; :class:`DatumComplex` gives d', h and
+the formulas for cohomology and level kernels.
 
 Neither builder multiplies differentials: symbolic d d = 0 is the sign
-rule of ``contraction_terms``, which the tests check, and the blocks of
-datum d d are the commutators that ``ModuleDatum`` validation already
-places in the relation lattice.
+rule of ``contraction_terms``, which the tests check, and datum d d = B h
+is made of the commutators that ``ModuleDatum`` validation solves for.
 """
 
 from __future__ import annotations
@@ -26,17 +32,14 @@ import random
 from itertools import combinations
 from math import comb
 
-from ._record import record
+from ._record import record, set_field
 from .abgroup import (
     FGAbelianGroup,
     GradedGroup,
     IntMatrix,
     LatticeSolveError,
     SmithNormalForm,
-    block_diag,
     cokernel,
-    hstack,
-    kernel_basis,
     snf,
 )
 from .exterior import Covector, contraction_terms, koszul_matrix
@@ -111,23 +114,28 @@ class ModuleDatum:
                     )
         # Each relation lattice is factored once and serves every membership
         # test: first every endomorphism preserves it, then every commutator
-        # lies in it, parity by parity.
-        lattices = {}
+        # lies in it, parity by parity.  What the tests solve for is kept as
+        # ``lattice_action[parity]``: the relation basis B, the rho_i with
+        # beta_i B = B rho_i, and the c_ab with [beta_a, beta_b] = B c_ab.
+        lattices, actions = {}, {}
         for parity in PARITIES:
             rel = self.presentation(parity).relations
-            lattices[parity] = snf(rel) if rel.cols else None
-            for i, e in enumerate(self.endos):
-                if not _in_lattice(lattices[parity], e.part(parity) @ rel):
-                    raise DatumError(
-                        f"endos[{i}].{parity} does not preserve the relation lattice"
-                    )
+            lattices[parity] = lattice = snf(rel) if rel.cols else None
+            basis = lattice.basis if lattice else IntMatrix.zeros(rel.rows, 0)
+            rhos = [
+                _coordinates(lattice, e.part(parity) @ basis,
+                             f"endos[{i}].{parity} does not preserve the relation lattice")
+                for i, e in enumerate(self.endos)
+            ]
+            actions[parity] = (basis, rhos, {})
         for parity in PARITIES:
             for (i, a), (j, b) in combinations(enumerate(self.endos), 2):
                 a, b = a.part(parity), b.part(parity)
-                if not _in_lattice(lattices[parity], a @ b - b @ a):
-                    raise DatumError(
-                        f"endos[{i}] and endos[{j}] do not commute ({parity} part)"
-                    )
+                actions[parity][2][i + 1, j + 1] = _coordinates(
+                    lattices[parity], a @ b - b @ a,
+                    f"endos[{i}] and endos[{j}] do not commute ({parity} part)",
+                )
+        set_field(self, "lattice_action", actions)
 
     @property
     def n(self) -> int:
@@ -223,20 +231,16 @@ class ModuleDatum:
         return cls(even, odd, tuple(endos))
 
 
-def _in_lattice(lattice: SmithNormalForm | None, m: IntMatrix) -> bool:
-    """Whether every column of m lies in the factored relation lattice (or m is zero).
-
-    ``lattice`` is None for a parity without relations, whose lattice is 0.
-    """
-    if m.is_zero:
-        return True
-    if lattice is None:
-        return False
+def _coordinates(lattice: SmithNormalForm | None, m: IntMatrix, error: str) -> IntMatrix:
+    """X with B @ X = m for the lattice's basis B, or DatumError(error); None is the 0 lattice."""
     try:
-        lattice.span_coordinates(m)
+        if lattice is not None:
+            return lattice.span_coordinates(m)
+        if m.is_zero:
+            return IntMatrix.zeros(0, m.cols)
     except LatticeSolveError:
-        return False
-    return True
+        pass
+    raise DatumError(error)
 
 
 # ---------------------------------------------------------------------------
@@ -272,32 +276,48 @@ class SymbolicComplex:
 
 @record
 class DatumComplex:
-    """Contraction against (1 - beta_1, ..., 1 - beta_n) on a module datum, per parity.
+    """The free total complex of a module datum, one per parity.
 
-    ``diffs[parity][j-1]`` holds d_j as a block integer matrix; consecutive
-    differentials compose to zero modulo the spot relation lattice (exactly
-    zero when the input group is free).  ``cycle_lattices[parity][d]`` is the
-    factored cycle lattice at spot d, which both its cohomology and its
-    kernel group are read from.
+    For a parity with generators Z^g and relation basis B (g x r),
+    validation solves beta_i B = B rho_i and [beta_a, beta_b] = B c_ab.
+    Spot d is P_d = Z^(C(n, d) g) with the contraction d_d against the
+    1 - beta_i; Q_d = Z^(C(n, d) r) has the contraction d'_d against the
+    1 - rho_i; and h_d: P_d -> Q_(d-2), the double contraction against the
+    c_ab with sign (-1)^(p+q) for removed positions p < q, solves
+    d_(d-1) d_d = B h_d.  Then T_d = P_d + Q_(d-1) (d = 0..n+1) with
+    delta_d = [[d_d, B], [-h_d, -d'_(d-1)]] is a complex, and (p, q) -> [p]
+    maps it onto the Koszul complex of the quotients P_d / B Q_d.  The
+    kernel, B Q_d + Q_(d-1) at T_d, is the cone of the identity of Q,
+    which is exact, so the map is a quasi-isomorphism, and the cohomology is
+
+        H_d = Z^(dim T_d - rk delta_d - rk delta_(d+1)) + tors coker delta_(d+1).
+
+    The kernel of d_d on the quotient spot d is the homology at d of T cut
+    off above by the injective iota_d = [B; -d'_d], the Q_d columns of
+    delta_(d+1):
+
+        Z^(dim T_d - rk delta_d - dim Q_d) + tors coker iota_d.
+
+    A free parity has r = 0, and these are the textbook formulas.
+    ``totals[parity][j-1]`` holds delta_j and ``quotients[parity][d]`` the
+    cokernel of delta_(d+1), of free rank dim T_d - rk delta_(d+1).
     """
 
     datum: ModuleDatum
-    diffs: dict[str, tuple[IntMatrix, ...]]
-    cycle_lattices: dict[str, tuple[SmithNormalForm, ...]]
+    totals: dict[str, tuple[IntMatrix, ...]]
+    quotients: dict[str, tuple[FGAbelianGroup, ...]]
 
     @property
     def n(self) -> int:
         return self.datum.n
 
     def differential(self, j: int, parity: str) -> IntMatrix:
-        """d_j: spot j -> spot j-1 on one parity, j in 1..n."""
+        """d_j: spot j -> spot j-1 on one parity, j in 1..n: the P block of delta_j."""
         if not 1 <= j <= self.n:
             raise ValueError(f"differential index {j} out of range 1..{self.n}")
-        return self.diffs[parity][j - 1]
-
-    def cycles(self, d: int, parity: str) -> SmithNormalForm:
-        """The factored cycle lattice at spot d."""
-        return self.cycle_lattices[parity][d]
+        g = self.datum.presentation(parity).free_rank
+        delta = self.totals[parity][j - 1]
+        return delta.take_rows(0, comb(self.n, j - 1) * g).take_cols(0, comb(self.n, j) * g)
 
 
 def build_symbolic(v: Covector) -> SymbolicComplex:
@@ -305,54 +325,57 @@ def build_symbolic(v: Covector) -> SymbolicComplex:
     return SymbolicComplex(v, tuple(koszul_matrix(v, j) for j in range(1, v.n + 1)))
 
 
-def _block_contraction(n: int, j: int, blocks: list[IntMatrix], g: int) -> IntMatrix:
-    """Matrix of contraction against (blocks[0], ..., blocks[n-1]) from spot j to j-1."""
-    terms = contraction_terms(n, j)
-    cols = comb(n, j) * g
-    grid = [[0] * cols for _ in range(comb(n, j - 1) * g)]
-    for r, c, s, sign in terms:
-        for a, blk_row in enumerate(blocks[s - 1].entries):
-            grid[r * g + a][c * g:(c + 1) * g] = [sign * x for x in blk_row]
-    return IntMatrix.from_rows(grid, cols)
+def _double_contraction_terms(n: int, j: int):
+    """Terms (row, col, (a, b), sign) of d_(j-1) d_j: wedge^j -> wedge^(j-2), a < b.
 
-
-def spot_relations(datum: ModuleDatum, d: int, parity: str) -> IntMatrix:
-    """Relation lattice of spot d (columns), one block per basis subset."""
-    return block_diag([datum.presentation(parity).relations] * comb(datum.n, d))
-
-
-def _cycle_lattice(
-    datum: ModuleDatum, diffs: tuple[IntMatrix, ...], d: int, parity: str
-) -> SmithNormalForm:
-    """Factored lattice {x in spot d : d_d(x) in the relations R_(d-1) of spot d - 1}.
-
-    It is the projection to spot d of the kernel of [d_d | R_(d-1)]; at
-    spot 0 it is the identity lattice.  The spot's own relations R_d lie
-    inside without being added: validation makes every beta_i preserve the
-    relation lattice, so each block +-(1 - beta_i) of d_d maps relations to
-    relations and d_d maps R_d into R_(d-1).
+    Dropping b, then a, gives sign * (1 - beta_a)(1 - beta_b), and dropping
+    a, then b, gives -sign * (1 - beta_b)(1 - beta_a): sign * [beta_a, beta_b].
     """
-    rows = comb(datum.n, d) * datum.presentation(parity).free_rank
-    if d == 0:
-        return snf(IntMatrix.identity(rows))
-    target_rel = spot_relations(datum, d - 1, parity)
-    return snf(kernel_basis(hstack(diffs[d - 1], target_rel)).take_rows(0, rows))
+    second: dict[int, list[tuple[int, int, int]]] = {}
+    for row, mid, a, sign in contraction_terms(n, j - 1):
+        second.setdefault(mid, []).append((row, a, sign))
+    for mid, col, b, sign in contraction_terms(n, j):
+        for row, a, sign2 in second[mid]:
+            if a < b:
+                yield row, col, (a, b), sign * sign2
+
+
+def _total_differential(n: int, j: int, basis: IntMatrix, one_minus: list[IntMatrix],
+                        commutators: dict, one_minus_rho: list[IntMatrix]) -> IntMatrix:
+    """delta_j = [[d_j, B], [-h_j, -d'_(j-1)]]: P_j + Q_(j-1) -> P_(j-1) + Q_(j-2)."""
+    g, r = basis.rows, basis.cols
+    top, left = comb(n, j - 1) * g, comb(n, j) * g
+    width = left + comb(n, j - 1) * r
+    grid = [[0] * width for _ in range(top + (comb(n, j - 2) * r if j >= 2 else 0))]
+    blocks = [(k * g, left + k * r, basis, 1) for k in range(comb(n, j - 1))]
+    if j <= n:
+        blocks += [(row * g, col * g, one_minus[s - 1], sign)
+                   for row, col, s, sign in contraction_terms(n, j)]
+    if r and j >= 2:
+        if j <= n:
+            blocks += [(top + row * r, col * g, commutators[ab], -sign)
+                       for row, col, ab, sign in _double_contraction_terms(n, j)]
+        blocks += [(top + row * r, left + col * r, one_minus_rho[s - 1], -sign)
+                   for row, col, s, sign in contraction_terms(n, j - 1)]
+    for row0, col0, block, sign in blocks:
+        for a, values in enumerate(block.entries):
+            grid[row0 + a][col0:col0 + block.cols] = values if sign == 1 else [-x for x in values]
+    return IntMatrix(len(grid), width, tuple(map(tuple, grid)))
 
 
 def build_datum(datum: ModuleDatum) -> DatumComplex:
-    """Koszul complex of contraction against (1 - beta_1, ..., 1 - beta_n)."""
-    n = datum.n
-    per_parity: dict[str, tuple[IntMatrix, ...]] = {}
-    cycles: dict[str, tuple[SmithNormalForm, ...]] = {}
+    """The free total complex of a module datum and the cokernel of each differential."""
+    totals, quotients = {}, {}
     for parity in PARITIES:
-        g = datum.presentation(parity).free_rank
-        blocks = [
-            IntMatrix.identity(g) - e.part(parity) for e in datum.endos
-        ]
-        diffs = tuple(_block_contraction(n, j, blocks, g) for j in range(1, n + 1))
-        per_parity[parity] = diffs
-        cycles[parity] = tuple(_cycle_lattice(datum, diffs, d, parity) for d in range(n + 1))
-    return DatumComplex(datum, per_parity, cycles)
+        basis, rhos, commutators = datum.lattice_action[parity]
+        one_minus = [IntMatrix.identity(basis.rows) - e.part(parity) for e in datum.endos]
+        one_minus_rho = [IntMatrix.identity(basis.cols) - rho for rho in rhos]
+        totals[parity] = tuple(
+            _total_differential(datum.n, j, basis, one_minus, commutators, one_minus_rho)
+            for j in range(1, datum.n + 2)
+        )
+        quotients[parity] = tuple(map(cokernel, totals[parity]))
+    return DatumComplex(datum, totals, quotients)
 
 
 # ---------------------------------------------------------------------------
@@ -361,22 +384,26 @@ def build_datum(datum: ModuleDatum) -> DatumComplex:
 
 
 def _spot_quotient(cx: DatumComplex, d: int, incoming: bool) -> GradedGroup:
-    """The cycle lattice at spot d modulo the spot relations, per parity.
+    """ker delta_d modulo the image of delta_(d+1), per parity.
 
-    With ``incoming`` the image of d_(d+1) is divided out as well.
+    Without ``incoming`` only the image of its Q_d block iota_d is divided out.
     """
     parts = {}
     for parity in PARITIES:
-        denominator = spot_relations(cx.datum, d, parity)
-        if incoming:
-            denominator = hstack(cx.differential(d + 1, parity), denominator)
-        parts[parity] = cokernel(cx.cycles(d, parity).span_coordinates(denominator))
+        quotient = cx.quotients[parity][d]
+        if not incoming:
+            delta = cx.totals[parity][d]
+            left = comb(cx.n, d + 1) * cx.datum.presentation(parity).free_rank
+            quotient = cokernel(delta.take_cols(left, delta.cols))
+        # rk delta_d, from the cokernel of delta_d; delta_0 = 0.
+        rank_in = d and cx.totals[parity][d - 1].rows - cx.quotients[parity][d - 1].free_rank
+        parts[parity] = FGAbelianGroup(quotient.free_rank - rank_in, quotient.torsion)
     return GradedGroup(parts["even"], parts["odd"])
 
 
 def datum_spot_cohomology(cx: DatumComplex, d: int) -> GradedGroup:
     """Homology at spot d of a datum complex, one group per parity."""
-    return _spot_quotient(cx, d, incoming=d < cx.n)
+    return _spot_quotient(cx, d, incoming=True)
 
 
 def datum_cohomology(datum: ModuleDatum) -> list[GradedGroup]:

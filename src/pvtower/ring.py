@@ -50,7 +50,7 @@ def _same_ring(a: "LaurentPoly", b: "LaurentPoly") -> None:
 class LaurentPoly:
     """An element of Z[t1^{+-1}, ..., tn^{+-1}]."""
 
-    __slots__ = ("_nvars", "_terms", "_key")
+    __slots__ = ("_nvars", "_terms", "_key", "_hash")
 
     def __init__(self, nvars: int, terms: Mapping[tuple[int, ...], int] | None = None):
         if nvars < 0:
@@ -70,6 +70,8 @@ class LaurentPoly:
         self._nvars = nvars
         self._terms = clean
         self._key = tuple(sorted(clean.items()))
+        # Entries key the per-trial value caches, so each is hashed many times.
+        self._hash = hash((nvars, self._key))
 
     # -- constructors -------------------------------------------------
 
@@ -119,7 +121,7 @@ class LaurentPoly:
         return self._nvars == other._nvars and self._key == other._key
 
     def __hash__(self) -> int:
-        return hash((self._nvars, self._key))
+        return self._hash
 
     def __bool__(self) -> bool:
         return bool(self._terms)

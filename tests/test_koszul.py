@@ -21,13 +21,13 @@ from pvtower.koszul import (
     datum_cohomology,
     endpoint_augmentation_surjective,
     generic_rank_exactness,
-    spot_relations,
     _rank_mod_p,
     _sample_point,
 )
 from pvtower.ring import P, LaurentPoly, one_minus_var
 
 from conftest import covector_strategy, int_matrix_strategy
+from cycle_lattice_oracle import spot_relations
 
 Z = FGAbelianGroup.free
 T = FGAbelianGroup.trivial
@@ -39,6 +39,15 @@ def free_datum(even_rank, odd_rank, endo_pairs):
         for e, o in endo_pairs
     )
     return ModuleDatum(Presentation.free(even_rank), Presentation.free(odd_rank), endos)
+
+
+def noncommuting_mod2_datum():
+    """(Z/2)^2 with lifts whose commutator [[4, 0], [0, -4]] lies in the relations."""
+    pres = Presentation.of(2, [[2, 0], [0, 2]])
+    b1 = IntMatrix.from_rows([[1, 2], [0, 1]])
+    b2 = IntMatrix.from_rows([[1, 0], [2, 1]])
+    empty = IntMatrix.identity(0)
+    return ModuleDatum(pres, Presentation.free(0), (GradedEndo(b1, empty), GradedEndo(b2, empty)))
 
 
 class TestSymbolic:
@@ -149,13 +158,8 @@ class TestDatum:
         # On (Z/2)^2 the commutator [[4, 0], [0, -4]] of these lifts lies in
         # the relation lattice, so the datum is accepted and d_1 d_2, which
         # is made of that commutator, vanishes only modulo the relations.
-        pres = Presentation.of(2, [[2, 0], [0, 2]])
-        b1 = IntMatrix.from_rows([[1, 2], [0, 1]])
-        b2 = IntMatrix.from_rows([[1, 0], [2, 1]])
-        empty = IntMatrix.identity(0)
-        datum = ModuleDatum(
-            pres, Presentation.free(0), (GradedEndo(b1, empty), GradedEndo(b2, empty))
-        )
+        datum = noncommuting_mod2_datum()
+        pres = datum.even
         cx = build_datum(datum)
         prod = cx.differential(1, "even") @ cx.differential(2, "even")
         assert not prod.is_zero

@@ -1,18 +1,24 @@
 """Differential tests of snf, cokernel and subquotient against sympy.
 
-sympy's normal forms share no code with pvtower.  Inputs stay at 6x6
-with entries up to 9: on larger rank-deficient matrices sympy's
-invariant factors can take minutes.
+sympy's normal forms share no code with pvtower.  Most inputs stay at 6x6
+with entries up to 9: on larger matrices sympy's invariant factors can
+take minutes.  The cokernel is also checked on sparse matrices of the
+sizes the datum complexes reach, through sympy's modular Hermite form.
 """
 
+import random
+
 import hypothesis.strategies as st
-from hypothesis import example, given
-from sympy import ZZ, Matrix
+from hypothesis import example, given, settings
+from sympy import QQ, ZZ, Matrix
 from sympy.matrices.normalforms import (
     hermite_normal_form,
     invariant_factors,
     smith_normal_form,
 )
+from sympy.polys.matrices import DomainMatrix
+from sympy.polys.matrices.normalforms import hermite_normal_form as domain_hermite_form
+from sympy.polys.matrices.normalforms import invariant_factors as domain_invariant_factors
 
 from pvtower.abgroup import FGAbelianGroup, IntMatrix, LatticeSolveError, cokernel, snf, subquotient
 
@@ -64,6 +70,65 @@ def test_snf_diagonal_matches_sympy(m):
 @given(int_matrix_strategy(max_dim=6, max_entry=9))
 def test_cokernel_matches_sympy(m):
     assert cokernel(m) == sympy_group(to_sympy(m))
+
+
+def sympy_orders(m: IntMatrix) -> list[int]:
+    """Nonzero invariant factors of m, from sympy, fast at a few dozen rows.
+
+    Zero rows and columns are dropped and m is transposed if that gives
+    full row rank.  A full-row-rank lattice L contains D Z^n for D the
+    determinant of any nonsingular maximal minor, so sympy's Hermite form
+    modulo D is a basis of L; alternating it with the Hermite form of its
+    transpose reaches a diagonal matrix with the same invariant factors.
+    A matrix that is rank-deficient both ways goes to invariant_factors.
+    """
+    rows = [r for r in m.entries if any(r)]
+    keep = [j for j in range(m.cols) if any(r[j] for r in rows)]
+    if not rows:
+        return []
+    dm = DomainMatrix([[ZZ(r[j]) for j in keep] for r in rows], (len(rows), len(keep)), ZZ)
+    rank = dm.convert_to(QQ).rank()
+    if rank == len(keep) < len(rows):
+        dm = dm.transpose()
+    n = dm.shape[0]
+    if rank < n:
+        return [int(x) for x in domain_invariant_factors(dm) if x]
+    _, pivots = dm.convert_to(QQ).rref()
+    det = abs(dm.extract(list(range(n)), list(pivots)).det())
+    w = domain_hermite_form(dm, D=det)
+    while not w.is_diagonal:
+        w = domain_hermite_form(w.transpose(), D=det)
+    return [abs(int(w[i, i].element)) for i in range(n)]
+
+
+@st.composite
+def sparse_matrices(draw):
+    """Up to 40 x 60, entries in -3..3 at density 0.05-0.5, some rows and columns zeroed.
+
+    Shapes come from a generator seeded by the draw, so that they spread
+    evenly over the range instead of clustering at the small end.
+    """
+    rng = random.Random(draw(st.integers(0, 2**64)))
+    rows, cols, density = rng.randint(0, 40), rng.randint(0, 60), rng.uniform(0.05, 0.5)
+    grid = [[rng.randint(-3, 3) if rng.random() < density else 0 for _ in range(cols)]
+            for _ in range(rows)]
+    for i in rng.sample(range(rows), min(rows, rng.randint(0, 3))):
+        grid[i] = [0] * cols
+    for j in rng.sample(range(cols), min(cols, rng.randint(0, 3))):
+        for row in grid:
+            row[j] = 0
+    return IntMatrix(rows, cols, tuple(map(tuple, grid)))
+
+
+@given(sparse_matrices())
+@settings(max_examples=40)
+@example(IntMatrix.zeros(0, 7))
+@example(IntMatrix.zeros(7, 0))
+@example(IntMatrix.zeros(0, 0))
+@example(IntMatrix.zeros(5, 9))
+def test_cokernel_matches_sympy_at_datum_sizes(m):
+    orders = sympy_orders(m)
+    assert cokernel(m) == FGAbelianGroup.from_invariants(m.rows - len(orders), orders)
 
 
 @st.composite

@@ -7,7 +7,8 @@ from math import gcd
 
 import hypothesis.strategies as st
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
+from sympy import Matrix
 
 from pvtower.abgroup import FGAbelianGroup, GradedGroup, IntMatrix
 from pvtower.koszul import (
@@ -16,15 +17,19 @@ from pvtower.koszul import (
     Presentation,
     build_datum,
     datum_cohomology,
-    spot_relations,
+    datum_spot_kernel,
 )
 from pvtower.tower import (
+    assemble_final,
     euler_characteristic,
     iterate_rank1,
     pv_rank1,
     pv_tower,
     tower_shape,
 )
+
+import cycle_lattice_oracle as oracle
+from test_koszul import noncommuting_mod2_datum
 
 Z = FGAbelianGroup.free
 T = FGAbelianGroup.trivial
@@ -196,14 +201,60 @@ def test_redundant_relations_change_no_report(datum, data):
     assert pv_tower(again) == pv_tower(datum)
 
 
-@given(_cyclic_power_datum())
-def test_cycle_lattice_contains_the_spot_relations(datum):
-    # The cycle lattice is factored without the spot's own relations; every
-    # quotient read from it needs them inside.
+@st.composite
+def _lifted_datum(draw):
+    """A power datum whose lifts are moved by matrices with columns in the relation lattice.
+
+    The maps induced on the quotient groups do not change, so the datum
+    stays valid, but its lifts in general commute only modulo the relations.
+    """
+    datum = draw(_cyclic_power_datum())
+
+    def moved(parity, lift):
+        rel = datum.presentation(parity).relations
+        if not rel.cols:
+            return lift
+        shift = [[draw(st.integers(-2, 2)) for _ in range(lift.cols)] for _ in range(rel.cols)]
+        return lift + rel @ IntMatrix.from_rows(shift, lift.cols)
+
+    endos = tuple(GradedEndo(moved("even", e.even), moved("odd", e.odd)) for e in datum.endos)
+    return ModuleDatum(datum.even, datum.odd, endos)
+
+
+@given(st.one_of(_cyclic_power_datum(), _lifted_datum()))
+@example(noncommuting_mod2_datum())
+def test_total_complex_closes_and_ends_injective(datum):
+    # d_(j-1) d_j vanishes only modulo the relations; the total differentials
+    # compose to zero exactly, and the last one, [B; -d'_n], has full column
+    # rank, so the total complex has no homology above spot n.
     cx = build_datum(datum)
-    for d in range(cx.n + 1):
-        for parity in ("even", "odd"):
-            cx.cycles(d, parity).span_coordinates(spot_relations(datum, d, parity))
+    for parity in ("even", "odd"):
+        for j in range(2, cx.n + 2):
+            assert (cx.totals[parity][j - 2] @ cx.totals[parity][j - 1]).is_zero
+        last = cx.totals[parity][cx.n]
+        flat = [x for row in last.entries for x in row]
+        assert Matrix(last.rows, last.cols, flat).rank() == last.cols
+
+
+@given(st.one_of(_cyclic_power_datum(), _lifted_datum()), st.data())
+@example(noncommuting_mod2_datum(), None)
+def test_datum_path_matches_cycle_lattice_oracle(datum, data):
+    if data is not None and data.draw(st.booleans()):
+        datum = ModuleDatum(
+            _with_redundant_relations(datum.even, data),
+            _with_redundant_relations(datum.odd, data),
+            datum.endos,
+        )
+    expected = oracle.cohomology(datum)
+    kernels = [None] + [oracle.level_kernel(datum, d) for d in range(1, datum.n + 1)]
+    assert datum_cohomology(datum) == expected
+    cx = build_datum(datum)
+    assert [datum_spot_kernel(cx, d) for d in range(1, datum.n + 1)] == kernels[1:]
+    report = pv_tower(datum)
+    assert list(report.cohomology) == expected
+    for level in report.levels:
+        top = datum.n - level.level
+        assert level.group == assemble_final(expected[:top] + [kernels[top]])
 
 
 class TestTower:
