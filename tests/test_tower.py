@@ -246,10 +246,10 @@ def test_datum_path_matches_cycle_lattice_oracle(datum, data):
             datum.endos,
         )
     expected = oracle.cohomology(datum)
-    kernels = [None] + [oracle.level_kernel(datum, d) for d in range(1, datum.n + 1)]
+    kernels = {d: oracle.level_kernel(datum, d) for d in range(1, datum.n + 1)}
     assert datum_cohomology(datum) == expected
     cx = build_datum(datum)
-    assert [datum_spot_kernel(cx, d) for d in range(1, datum.n + 1)] == kernels[1:]
+    assert {d: datum_spot_kernel(cx, d) for d in kernels} == kernels
     report = pv_tower(datum)
     assert list(report.cohomology) == expected
     for level in report.levels:
