@@ -1,8 +1,8 @@
 """Exact K-theory of crossed products by Z^n-actions.
 
 Koszul complexes over Laurent rings and over finitely generated graded
-abelian groups, Smith-normal-form homology, Pimsner-Voiculescu towers,
-and the K-theory of classical homogeneous spaces.
+abelian groups, Smith normal form, Pimsner-Voiculescu towers, and the
+K-theory of classical homogeneous spaces.
 
 Importing the package loads no submodule: each public name is imported
 from its module on first access (PEP 562), so ``pv oracle`` never pays
@@ -14,8 +14,7 @@ from importlib import import_module
 # Public name -> the submodule that defines it.
 _EXPORTS = {
     "FGAbelianGroup": "abgroup", "GradedGroup": "abgroup", "IntMatrix": "abgroup",
-    "SmithNormalForm": "abgroup", "cokernel": "abgroup", "homology": "abgroup",
-    "snf": "abgroup", "subquotient": "abgroup",
+    "SmithNormalForm": "abgroup", "cokernel": "abgroup", "snf": "abgroup",
     "cellular_differential": "cubical", "enumerate_faces": "cubical",
     "oracle_compare": "cubical",
     "Covector": "exterior", "contraction_terms": "exterior", "koszul_matrix": "exterior",
@@ -23,12 +22,11 @@ _EXPORTS = {
     "Presentation": "koszul", "SymbolicComplex": "koszul", "build_datum": "koszul",
     "build_symbolic": "koszul", "convolve_with_exterior": "koszul",
     "datum_cohomology": "koszul", "generic_rank_exactness": "koszul",
-    "SeriesSpec": "liegroups", "homogeneous_ktheory": "liegroups",
-    "weyl_enumerate": "liegroups", "weyl_order": "liegroups",
+    "SeriesSpec": "liegroups", "homogeneous_ktheory": "liegroups", "weyl_order": "liegroups",
     "LaurentPoly": "ring", "PolyMatrix": "ring",
     "PVResult": "tower", "TowerReport": "tower", "TowerShape": "tower",
-    "euler_characteristic": "tower", "iterate_rank1": "tower", "pv_rank1": "tower",
-    "pv_tower": "tower", "tower_shape": "tower",
+    "euler_characteristic": "tower", "pv_rank1": "tower", "pv_tower": "tower",
+    "tower_shape": "tower",
 }
 
 __all__ = sorted(_EXPORTS)

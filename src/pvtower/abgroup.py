@@ -3,11 +3,10 @@
 :func:`cokernel` reads only invariant factors, so it runs a sparse
 elimination that records nothing.  ``snf`` computes Smith normal form and
 records its elementary row and column operations, because its callers
-read transforms: lattice membership (``span_coordinates``), lattice bases
-and the iterated rank-1 oracle's kernels and solves.  U, V and their
-inverses are built from that record only when read.  Groups are always
-in invariant-factor canonical form, so ``FGAbelianGroup`` equality is
-isomorphism.
+read transforms: lattice membership (``span_coordinates``), lattice bases,
+kernels and solves.  U, V and their inverses are built from that record
+only when read.  Groups are always in invariant-factor canonical form, so
+``FGAbelianGroup`` equality is isomorphism.
 """
 from __future__ import annotations
 
@@ -115,35 +114,6 @@ class IntMatrix:
             self.rows, stop - start, tuple(row[start:stop] for row in self.entries)
         )
 
-    def diagonal(self) -> tuple[int, ...]:
-        return tuple(self.entries[i][i] for i in range(min(self.rows, self.cols)))
-
-    def det(self) -> int:
-        """Exact determinant by fraction-free (Bareiss) elimination."""
-        if self.rows != self.cols:
-            raise ValueError("determinant of a non-square matrix")
-        n = self.rows
-        if n == 0:
-            return 1
-        a = [list(row) for row in self.entries]
-        sign = 1
-        prev = 1
-        for k in range(n - 1):
-            if a[k][k] == 0:
-                for i in range(k + 1, n):
-                    if a[i][k] != 0:
-                        a[k], a[i] = a[i], a[k]
-                        sign = -sign
-                        break
-                else:
-                    return 0
-            for i in range(k + 1, n):
-                for j in range(k + 1, n):
-                    a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-                a[i][k] = 0
-            prev = a[k][k]
-        return sign * a[n - 1][n - 1]
-
     def __str__(self) -> str:
         return "[" + "; ".join(", ".join(str(x) for x in row) for row in self.entries) + "]"
 
@@ -154,15 +124,6 @@ def hstack(a: IntMatrix, b: IntMatrix) -> IntMatrix:
     return IntMatrix(
         a.rows, a.cols + b.cols, tuple(ra + rb for ra, rb in zip(a.entries, b.entries))
     )
-
-
-def block_diag(blocks: Sequence[IntMatrix]) -> IntMatrix:
-    cols = sum(b.cols for b in blocks)
-    out, c0 = [], 0
-    for b in blocks:
-        out += [(0,) * c0 + row + (0,) * (cols - c0 - b.cols) for row in b.entries]
-        c0 += b.cols
-    return IntMatrix(len(out), cols, tuple(out))
 
 
 # ---------------------------------------------------------------------------
@@ -580,19 +541,6 @@ def subquotient(numerator: IntMatrix, denominator: IntMatrix) -> FGAbelianGroup:
     if numerator.rows != denominator.rows:
         raise ValueError("ambient rank mismatch")
     return cokernel(snf(numerator).span_coordinates(denominator))
-
-
-class CompositionNotZero(ValueError):
-    """d_out @ d_in was expected to vanish but does not."""
-
-
-def homology(d_in: IntMatrix, d_out: IntMatrix) -> FGAbelianGroup:
-    """ker(d_out) / im(d_in) for maps A --d_in--> B --d_out--> C."""
-    if d_out.cols != d_in.rows:
-        raise ValueError("middle dimension mismatch")
-    if not (d_out @ d_in).is_zero:
-        raise CompositionNotZero("d_out @ d_in != 0")
-    return subquotient(kernel_basis(d_out), d_in)
 
 
 @record

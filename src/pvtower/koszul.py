@@ -549,9 +549,14 @@ def generic_rank_exactness(
     rng = random.Random(seed)
     observed = [0] * (n + 2)  # observed[j] = max rank of d_j; d_{n+1} = 0
     consistent = [True] * (n + 1)
+    v = cx.covector
     for _ in range(trials):
         point = _sample_point(rng, nvars)
-        values: dict = {}  # every d_j has entries +-v_i: evaluate each once per trial
+        # Every d_j has entries +-v_i: evaluate each v_i once, -v_i is P minus it.
+        values: dict = {}
+        for p, negated in zip(v.entries, v.negated):
+            x = values[p] = p.evaluate(point)
+            values[negated] = -x % P
         ranks = [0] * (n + 2)
         for j in range(1, n + 1):
             ranks[j] = _rank_mod_p(cx.differential(j).evaluate(point, values))

@@ -1,9 +1,8 @@
 """Classical-series data and K-theory of homogeneous spaces G_n / G_k.
 
 Only two facts about a compact group enter the computation: the rank of
-its maximal torus and the order of its Weyl group.  Weyl orders come
-from closed forms with a brute-force signed-permutation enumeration as
-an oracle.  For a nested same-series pair the representation-theoretic
+its maximal torus and the order of its Weyl group, which comes from a
+closed form.  For a nested same-series pair the representation-theoretic
 input reduces to the Koszul complex of the rank-k standard covector
 (1 - t_1, ..., 1 - t_k) over Z[t1^{+-1}, ..., tk^{+-1}].  That sequence
 is regular, so the complex resolves to a single Z at the endpoint by
@@ -21,7 +20,6 @@ from .koszul import convolve_with_exterior
 from .tower import assemble_final
 
 _MIN_RANK = {"A": 1, "B": 2, "C": 3, "D": 3}
-_ENUM_RANK_CAP = 7
 
 
 @record
@@ -51,68 +49,6 @@ def weyl_order(spec: SeriesSpec) -> int:
     if spec.series in ("B", "C"):
         return 2 ** n * factorial(n)
     return 2 ** (n - 1) * factorial(n)
-
-
-# Signed permutations are tuples t with t[i] = +-(j+1) meaning e_i -> sign * e_j.
-
-
-def _compose(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
-    out = []
-    for bi in b:
-        j = abs(bi) - 1
-        out.append(a[j] if bi > 0 else -a[j])
-    return tuple(out)
-
-
-def _simple_reflections(spec: SeriesSpec) -> list[tuple[int, ...]]:
-    n = spec.rank
-    if spec.series == "A":
-        m = n + 1
-        ident = tuple(range(1, m + 1))
-        gens = []
-        for i in range(m - 1):
-            g = list(ident)
-            g[i], g[i + 1] = g[i + 1], g[i]
-            gens.append(tuple(g))
-        return gens
-    m = n
-    ident = tuple(range(1, m + 1))
-    gens = []
-    for i in range(m - 1):
-        g = list(ident)
-        g[i], g[i + 1] = g[i + 1], g[i]
-        gens.append(tuple(g))
-    if spec.series in ("B", "C"):
-        g = list(ident)
-        g[m - 1] = -g[m - 1]
-        gens.append(tuple(g))
-    else:  # D: flip-and-swap on the last two coordinates
-        g = list(ident)
-        g[m - 2], g[m - 1] = -ident[m - 1], -ident[m - 2]
-        gens.append(tuple(g))
-    return gens
-
-
-def weyl_enumerate(spec: SeriesSpec) -> int:
-    """Order of the group generated by the simple reflections, by explicit closure."""
-    if spec.rank > _ENUM_RANK_CAP:
-        raise ValueError(
-            f"enumeration capped at rank {_ENUM_RANK_CAP} (combinatorial explosion)"
-        )
-    gens = _simple_reflections(spec)
-    identity = tuple(range(1, len(gens[0]) + 1))
-    seen = {identity}
-    frontier = [identity]
-    while frontier:
-        nxt = []
-        for w in frontier:
-            for g in gens:
-                wg = _compose(w, g)
-                if wg not in seen:
-                    seen.add(wg)
-                    nxt.append(wg)
-        frontier = nxt
-    return len(seen)
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,7 @@ from pathlib import Path
 import hypothesis.strategies as st
 from hypothesis import settings
 
-from pvtower.abgroup import IntMatrix
+from pvtower.abgroup import IntMatrix, kernel_basis, subquotient
 from pvtower.exterior import Covector
 from pvtower.ring import LaurentPoly
 
@@ -40,6 +40,11 @@ def covector_strategy(n: int, nvars: int | None = None):
     return st.tuples(*[poly_strategy(nv, max_terms=2, max_exp=2, max_coeff=3) for _ in range(n)]).map(
         lambda entries: Covector(entries, nv)
     )
+
+
+def homology(d_in, d_out):
+    """ker(d_out) / im(d_in) for maps A --d_in--> B --d_out--> C with d_out @ d_in = 0."""
+    return subquotient(kernel_basis(d_out), d_in)
 
 
 def int_matrix_strategy(max_dim: int = 5, max_entry: int = 9):

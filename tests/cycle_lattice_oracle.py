@@ -17,12 +17,13 @@ from pvtower.abgroup import (
     FGAbelianGroup,
     GradedGroup,
     IntMatrix,
-    block_diag,
     hstack,
     kernel_basis,
     snf,
 )
 from pvtower.exterior import contraction_terms
+
+from rank1_oracle import block_diag
 
 PARITIES = ("even", "odd")
 

@@ -5,7 +5,7 @@ from math import comb
 import pytest
 
 from pvtower import cubical, exterior
-from pvtower.abgroup import FGAbelianGroup, IntMatrix, homology
+from pvtower.abgroup import FGAbelianGroup, IntMatrix
 from pvtower.cubical import (
     cellular_differential,
     enumerate_faces,
@@ -13,6 +13,8 @@ from pvtower.cubical import (
     oracle_compare,
 )
 from pvtower.ring import PolyMatrix, one_minus_var
+
+from conftest import homology
 
 
 class TestFaces:

@@ -302,6 +302,15 @@ class TestGenericRank:
                 assert s.observed_rank == comb(n - 1, s.spot - 1)
                 assert s.consistent
 
+    def test_evaluates_each_entry_once_per_trial(self, monkeypatch):
+        # Each d_j holds the entries v_i and their negations; a negation's
+        # value is read off its entry's, so a trial evaluates n polynomials.
+        calls = []
+        value = LaurentPoly._value
+        monkeypatch.setattr(LaurentPoly, "_value", lambda p, coords: calls.append(p) or value(p, coords))
+        generic_rank_exactness(build_symbolic(Covector.standard(8)), trials=64, seed=0)
+        assert len(calls) == 8 * 64
+
     def test_zero_covector_never_passes(self):
         for n in range(1, 5):
             v = Covector(tuple(LaurentPoly.zero(n) for _ in range(n)), n)

@@ -6,12 +6,9 @@ import pytest
 
 from pvtower import koszul, liegroups
 from pvtower.abgroup import FGAbelianGroup, GradedGroup
-from pvtower.liegroups import (
-    SeriesSpec,
-    homogeneous_ktheory,
-    weyl_enumerate,
-    weyl_order,
-)
+from pvtower.liegroups import SeriesSpec, homogeneous_ktheory, weyl_order
+
+from weyl_oracle import weyl_enumerate
 
 Z = FGAbelianGroup.free
 

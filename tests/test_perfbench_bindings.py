@@ -2,9 +2,10 @@
 
 ``perfbench/tracing.py`` binds functions and methods by module and
 attribute name, so a rename or deletion in ``src/`` breaks ``--trace 1``
-without failing any other test.  Several bound names (``kernel_rank``,
-``column_span_basis``, ``solve_exact``) have few or no callers in the
-package itself.
+without failing any other test.  Six bound names have no caller in
+``src/``: ``kernel_basis``, ``column_span_basis``, ``solve_exact``,
+``subquotient``, ``kernel_rank`` and ``rational_rank``.  Only tests and
+their oracles call them; they stay while the trace binds them by name.
 """
 
 import importlib

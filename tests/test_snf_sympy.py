@@ -20,7 +20,16 @@ from sympy.polys.matrices import DomainMatrix
 from sympy.polys.matrices.normalforms import hermite_normal_form as domain_hermite_form
 from sympy.polys.matrices.normalforms import invariant_factors as domain_invariant_factors
 
-from pvtower.abgroup import FGAbelianGroup, IntMatrix, LatticeSolveError, cokernel, snf, subquotient
+from pvtower.abgroup import (
+    FGAbelianGroup,
+    IntMatrix,
+    LatticeSolveError,
+    cokernel,
+    column_span_basis,
+    kernel_rank,
+    snf,
+    subquotient,
+)
 
 from conftest import int_matrix_strategy
 from test_abgroup import assert_snf_contract
@@ -38,13 +47,18 @@ def sympy_group(m: Matrix) -> FGAbelianGroup:
     return FGAbelianGroup(m.rows - rank, tuple(x for x in factors if x > 1))
 
 
+def sympy_hermite(m: Matrix) -> Matrix:
+    """The Hermite normal form of m, a basis of its column span."""
+    return hermite_normal_form(m) if m.cols else Matrix.zeros(m.rows, 0)
+
+
 def sympy_subquotient(num: Matrix, den: Matrix) -> FGAbelianGroup | None:
     """span(num) / span(den), or None when den leaves span(num).
 
     The Hermite normal form gives a basis of span(num); the denominator's
     coordinates in it come from the normal equations over Q.
     """
-    basis = hermite_normal_form(num) if num.cols else Matrix.zeros(num.rows, 0)
+    basis = sympy_hermite(num)
     if basis.cols == 0:
         return FGAbelianGroup.trivial() if den.is_zero_matrix else None
     coords = (basis.T * basis).inv() * basis.T * den
@@ -65,11 +79,15 @@ def test_snf_diagonal_matches_sympy(m):
     snf_matrix = smith_normal_form(sm, domain=ZZ)
     assert diag == chain(snf_matrix[i, i] for i in range(min(m.rows, m.cols)))
     assert_snf_contract(m)
+    basis = to_sympy(column_span_basis(m))
+    assert basis.rank() == basis.cols
+    assert sympy_hermite(basis) == sympy_hermite(sm)
 
 
 @given(int_matrix_strategy(max_dim=6, max_entry=9))
 def test_cokernel_matches_sympy(m):
     assert cokernel(m) == sympy_group(to_sympy(m))
+    assert kernel_rank(m) == m.cols - to_sympy(m).rank()
 
 
 def sympy_orders(m: IntMatrix) -> list[int]:

@@ -22,13 +22,13 @@ from pvtower.koszul import (
 from pvtower.tower import (
     assemble_final,
     euler_characteristic,
-    iterate_rank1,
     pv_rank1,
     pv_tower,
     tower_shape,
 )
 
 import cycle_lattice_oracle as oracle
+from rank1_oracle import iterate_rank1
 from test_koszul import noncommuting_mod2_datum
 
 Z = FGAbelianGroup.free
