@@ -9,6 +9,14 @@ fields are rejected, never ignored.
 
 Exit codes: 0 success, 2 input validation failure (running out of
 memory included), 3 ambiguity flag raised under ``--strict``.
+
+A ``pv`` process, installed or run as ``python -m pvtower.cli``, goes
+through :func:`entry`: it flushes stdout and stderr and ends with
+``os._exit``.  Past that point CPython's shutdown would only tear down
+modules and run garbage-collector passes over objects the operating system
+frees anyway.  Skipping it saved 6-13 ms of every 45-126 ms process
+(2-CPU x86-64 Linux, bytecode cached).  In-process callers use
+:func:`main`, which returns the code.
 """
 
 from __future__ import annotations
@@ -401,5 +409,22 @@ def main(argv: list[str] | None = None) -> int:
     return code
 
 
+def entry() -> int:
+    """Run :func:`main` as a process and end it with ``os._exit``.
+
+    ``os._exit`` also skips ``atexit`` handlers.  If a flush fails, the code
+    is returned for ``sys.exit``, whose shutdown flushes again and reports
+    the error as Python always does.  Usage errors, ``--help`` and
+    tracebacks never return from :func:`main` and exit as before.
+    """
+    code = main()
+    try:
+        sys.stdout.flush()
+        sys.stderr.flush()
+    except OSError:
+        return code
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(entry())

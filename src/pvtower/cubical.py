@@ -75,7 +75,17 @@ def cellular_differential(n: int, d: int) -> PolyMatrix:
                 terms[exps] = terms.get(exps, 0) - part.sign
             else:
                 terms[origin] = terms.get(origin, 0) + part.sign
-    entries = {key: p for key, terms in coeffs.items() if (p := LaurentPoly(n, terms))}
+    # Every entry is +-(1 - t_s), so build one polynomial per distinct term
+    # map rather than one per entry (5,120 entries at n = 10).
+    polys: dict[frozenset, LaurentPoly] = {}
+    entries = {}
+    for key, terms in coeffs.items():
+        shape = frozenset(terms.items())
+        p = polys.get(shape)
+        if p is None:
+            p = polys[shape] = LaurentPoly(n, terms)
+        if p:
+            entries[key] = p
     return PolyMatrix(len(rows), len(cols), n, entries)
 
 

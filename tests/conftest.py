@@ -18,6 +18,9 @@ settings.load_profile("default")
 os.environ["PYTHONPATH"] = os.pathsep.join(
     filter(None, [str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH")])
 )
+# They also keep Python's default block-buffered stdout, as a user's shell
+# gives them, so that they exercise the flush `cli.entry` makes before os._exit.
+os.environ.pop("PYTHONUNBUFFERED", None)
 
 
 def poly_strategy(nvars: int, max_terms: int = 4, max_exp: int = 3, max_coeff: int = 6):

@@ -1,6 +1,7 @@
 """CLI behaviour: outputs, schemas, exit codes, determinism."""
 
 import argparse
+import ast
 import io
 import json
 import os
@@ -361,6 +362,115 @@ class TestStartup:
         loaded = self._loaded("-c", "import pvtower")
         assert "pvtower" in loaded
         assert [m for m in loaded if m.startswith("pvtower.")] == []
+
+
+SHAPE_JSON = ["shape", "--n", "3", "--w", "2", "--format", "json"]
+NEEDS_DEV_FULL = pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+NO_SPACE = "OSError: [Errno 28] No space left on device"
+NOT_AUTOMORPHISM = "endomorphism 1 (even part) is not an automorphism of the quotient group"
+
+
+class TestProcessExit:
+    """How a `pv` process ends: `cli.entry` flushes stdout, then calls os._exit."""
+
+    @pytest.mark.parametrize(
+        "redirect, unbuffered, argv, stdin_obj, code, last",
+        [
+            # A failed flush goes back to sys.exit, whose shutdown flushes
+            # again and exits 120 after "Exception ignored in: <stdout>".
+            pytest.param(
+                "> /dev/full", False, SHAPE_JSON, None, 120, NO_SPACE,
+                marks=NEEDS_DEV_FULL, id="full-device-buffered",
+            ),
+            pytest.param(
+                "> /dev/full", True, SHAPE_JSON, None, 1, NO_SPACE,
+                marks=NEEDS_DEV_FULL, id="full-device-unbuffered",
+            ),
+            pytest.param(
+                ">&-", False, SHAPE_JSON, None, 1,
+                "AttributeError: 'NoneType' object has no attribute 'write'",
+                id="closed-stdout",
+            ),
+            pytest.param(
+                "", False, ["rank1", "--strict", os.path.join(GOLDEN, "rank1_torsion.in.json")],
+                None, 3, None, id="strict-ambiguous",
+            ),
+            pytest.param(
+                "", False, ["tower"], NON_AUTOMORPHISM_DATUM, 2, f"error: {NOT_AUTOMORPHISM}",
+                id="invalid-datum",
+            ),
+            pytest.param(
+                "", False, ["shape", "--n", "0"], None, 2,
+                "pv shape: error: argument --n: expected an integer in 1..64, got '0'",
+                id="usage-error",
+            ),
+        ],
+    )
+    def test_exit_code_and_last_stderr_line(
+        self, redirect, unbuffered, argv, stdin_obj, code, last
+    ):
+        env = dict(os.environ, PYTHONUNBUFFERED="1") if unbuffered else None
+        proc = subprocess.run(
+            ["sh", "-c", f'exec "$@" {redirect}', "sh", sys.executable, "-m", "pvtower.cli", *argv],
+            input=json.dumps(stdin_obj).encode() if stdin_obj else b"",
+            capture_output=True,
+            env=env,
+        )
+        assert proc.returncode == code
+        assert (proc.stderr.decode().splitlines() or [None])[-1] == last
+
+    def test_large_output_is_written_whole(self, tmp_path):
+        # shape at its caps writes more than one 8 kB buffer before os._exit.
+        argv = [sys.executable, "-m", "pvtower.cli", "shape", "--n", "64", "--w", "1000000",
+                "--format", "json"]
+        piped = subprocess.run(argv, capture_output=True, check=True).stdout
+        assert len(piped) == 12_815
+        assert piped.endswith(b"}\n")
+        path = tmp_path / "shape.json"
+        with open(path, "wb") as fh:
+            subprocess.run(argv, stdout=fh, check=True)
+        assert path.read_bytes() == piped
+        pv = subprocess.Popen(argv, stdout=subprocess.PIPE)
+        head = subprocess.Popen(["head", "-c", "1"], stdin=pv.stdout, stdout=subprocess.PIPE)
+        pv.stdout.close()
+        assert head.communicate(timeout=60)[0] == b"{"
+        assert pv.wait(timeout=60) == 0
+
+    def test_successful_process_runs_no_atexit_handler(self):
+        script = (
+            "import atexit, os, runpy, sys\n"
+            "atexit.register(os.write, 2, b'atexit handler ran\\n')\n"
+            f"sys.argv = ['pv', *{SHAPE_JSON!r}]\n"
+            "runpy.run_module('pvtower.cli', run_name='__main__')\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True)
+        assert (proc.returncode, proc.stderr) == (0, b"")
+        with open(os.path.join(GOLDEN, "shape_n3_w2.out.json"), "rb") as fh:
+            assert proc.stdout == fh.read()
+
+    def test_installed_script_runs_the_main_block_entry(self):
+        # The installed `pv` and `python -m pvtower.cli` must end the same way.
+        tomllib = pytest.importorskip("tomllib")
+        from pvtower import cli
+
+        with open(os.path.join(ROOT, "pyproject.toml"), "rb") as fh:
+            target = tomllib.load(fh)["project"]["scripts"]["pv"]
+        module, _, func = target.partition(":")
+        assert module == cli.__name__
+        with open(cli.__file__, encoding="utf-8") as fh:
+            tree = ast.parse(fh.read())
+        (block,) = [
+            node
+            for node in tree.body
+            if isinstance(node, ast.If) and ast.unparse(node.test) == "__name__ == '__main__'"
+        ]
+        called = {
+            node.func.id
+            for node in ast.walk(block)
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+        }
+        assert called == {func}
+        assert callable(getattr(cli, func))
 
 
 class TestTowerCommand:

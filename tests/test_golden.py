@@ -1,15 +1,18 @@
 """Golden corpus: fixed CLI invocations whose JSON output must stay byte-identical.
 
-Each case runs ``cli.main`` in-process.  A case named NAME reads stdin from
-``golden/NAME.in.json`` when that file exists and compares stdout with
-``golden/NAME.out.json``.  After a change that is meant to alter outputs,
-rewrite the expected files with ``PYTHONPATH=src python tests/test_golden.py
---write`` and explain the difference in CHANGES.md.
+Each case runs twice: through ``cli.main`` in-process, and as a
+``python -m pvtower.cli`` process, the path the benchmark times.  A case
+named NAME reads stdin from ``golden/NAME.in.json`` when that file exists
+and compares stdout with ``golden/NAME.out.json``.  After a change that is
+meant to alter outputs, rewrite the expected files with
+``PYTHONPATH=src python tests/test_golden.py --write`` and explain the
+difference in CHANGES.md.
 """
 
 import contextlib
 import io
 import os
+import subprocess
 import sys
 
 import pytest
@@ -52,14 +55,17 @@ CASES = {
 }
 
 
-def run_case(name: str) -> tuple[int, str]:
+def read_input(name: str) -> bytes:
     path = os.path.join(GOLDEN, f"{name}.in.json")
-    payload = b""
-    if os.path.exists(path):
-        with open(path, "rb") as fh:
-            payload = fh.read()
+    if not os.path.exists(path):
+        return b""
+    with open(path, "rb") as fh:
+        return fh.read()
+
+
+def run_case(name: str) -> tuple[int, str]:
     saved = sys.stdin
-    sys.stdin = io.TextIOWrapper(io.BytesIO(payload))
+    sys.stdin = io.TextIOWrapper(io.BytesIO(read_input(name)))
     out = io.StringIO()
     try:
         with contextlib.redirect_stdout(out):
@@ -79,6 +85,18 @@ def test_golden_output(name):
     assert code == 0
     with open(expected_path(name), encoding="utf-8") as fh:
         assert out == fh.read()
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_golden_output_as_process(name):
+    proc = subprocess.run(
+        [sys.executable, "-m", "pvtower.cli", *CASES[name], *JSON],
+        input=read_input(name),
+        capture_output=True,
+    )
+    assert proc.returncode == 0, proc.stderr.decode()
+    with open(expected_path(name), "rb") as fh:
+        assert proc.stdout == fh.read()
 
 
 if __name__ == "__main__":
