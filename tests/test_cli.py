@@ -287,6 +287,56 @@ def test_handler_value_error_exits_2(argv, stdin_obj, message):
     assert err.count("\n") == 1
 
 
+CHOICES = "(choose from 'rank1', 'tower', 'koszul', 'homog', 'oracle', 'shape')"
+
+
+@pytest.mark.parametrize(
+    "argv, last",
+    [
+        (
+            ["homog", "--series", "E"],
+            "pv homog: error: argument --series: invalid choice: 'E' "
+            "(choose from 'A', 'B', 'C', 'D')",
+        ),
+        (
+            ["homog", "--n", "3"],
+            "pv homog: error: the following arguments are required: --series, --k",
+        ),
+        (
+            ["shape", "--n", "3", "--series", "B", "--w", "2"],
+            "pv shape: error: argument --w: not allowed with argument --series",
+        ),
+        (
+            ["koszul", os.path.join(GOLDEN, "koszul_shift_n6_g2.in.json"), "--n", "3"],
+            "pv koszul: error: argument --n: not allowed with argument input",
+        ),
+        (["oracle", "--n", "3", "--bogus"], "pv: error: unrecognized arguments: --bogus"),
+        (["oracle", "--n"], "pv oracle: error: argument --n: expected one argument"),
+        ([], "pv: error: the following arguments are required: command"),
+        (["bogus"], f"pv: error: argument command: invalid choice: 'bogus' {CHOICES}"),
+        (
+            ["oracle", "--n", "13"],
+            "pv oracle: error: argument --n: expected an integer in 1..12, got '13'",
+        ),
+        (
+            ["koszul", "--n", "3", "--seed", "x"],
+            "pv koszul: error: argument --seed: invalid int value: 'x'",
+        ),
+    ],
+    ids=[
+        "invalid-choice", "missing-required", "shape-exclusive", "koszul-exclusive",
+        "unrecognized", "expected-one-argument", "no-subcommand", "unknown-subcommand",
+        "out-of-range", "seed-not-int",
+    ],
+)
+def test_usage_error_exits_2(argv, last):
+    code, out, err = run_cli(argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("usage: pv")
+    assert err.splitlines()[-1] == last
+
+
 def test_rank1_rule_stated_once():
     # pv rank1 and pv_rank1 reject a datum with two endomorphisms in the same words.
     from pvtower.koszul import ModuleDatum
