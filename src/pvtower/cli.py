@@ -7,8 +7,16 @@ or JSON (``--format``); JSON outputs carry a top-level ``"schema": 1``
 and are byte-identical across runs for fixed inputs.  Unknown input
 fields are rejected, never ignored.
 
-Exit codes: 0 success, 2 input validation failure (running out of
-memory included), 3 ambiguity flag raised under ``--strict``.
+The command line is read against one table, ``_COMMAND_LINE``, with a row
+per subcommand; ``--help`` is printed from it.  A flag is matched by its
+exact name, as ``--flag value`` or ``--flag=value``, and may be given once;
+an integer is ASCII decimal, with a leading ``-`` only for ``--seed``.
+Parsing imports nothing that ``json`` does not load already; ``argparse``,
+with the ``gettext`` it loads, cost about 5 ms of every process.
+
+Exit codes: 0 success (``--help`` included), 2 a bad command line or an
+input validation failure (running out of memory included), 3 ambiguity
+flag raised under ``--strict``.
 
 A ``pv`` process, installed or run as ``python -m pvtower.cli``, goes
 through :func:`entry`: it flushes stdout and stderr and ends with
@@ -21,10 +29,11 @@ frees anyway.  Skipping it saved 6-13 ms of every 45-126 ms process
 
 from __future__ import annotations
 
-import argparse
 import json
 import os
+import re
 import sys
+from types import SimpleNamespace
 
 # Each handler imports its own solver when it runs, so a command loads only
 # the layers it uses: `oracle` and `shape` never import the Smith-normal-form
@@ -38,17 +47,17 @@ EXIT_AMBIGUOUS = 3
 
 _SERIES = ("A", "B", "C", "D")
 
-# Inclusive ranges of the size flags.  As `pv` processes on a 2-CPU machine
+# Ranges of the size flags.  As `pv` processes on a 2-CPU machine
 # `koszul --n 8 --trials 64` took 0.2 s and `oracle --n 12` 0.5 s (about 2x
 # more per rank); `homog --n 64` keeps every binomial count below 2^63;
 # `homog --k` keeps the 1..8 range of `koszul --n` until homog has a measured
 # cost of its own; at its caps `shape` writes under 30 kB of JSON.
-_TRIALS = (1, 64)
-_WITNESS_RANK = (1, 8)
-_HOMOG_N = (1, 64)
-_ORACLE_N = (1, 12)
-_SHAPE_N = (1, 64)
-_SHAPE_W = (1, 10**6)
+_TRIALS = range(1, 65)
+_WITNESS_RANK = range(1, 9)
+_HOMOG_N = range(1, 65)
+_ORACLE_N = range(1, 13)
+_SHAPE_N = range(1, 65)
+_SHAPE_W = range(1, 10**6 + 1)
 
 
 class InputError(ValueError):
@@ -111,7 +120,7 @@ def _mark(ok: bool) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _cmd_rank1(args: argparse.Namespace, payload: bytes) -> tuple[int, str]:
+def _cmd_rank1(args: SimpleNamespace, payload: bytes) -> tuple[int, str]:
     from .tower import pv_rank1
 
     result = pv_rank1(_load_datum(payload))
@@ -137,7 +146,7 @@ def _cmd_rank1(args: argparse.Namespace, payload: bytes) -> tuple[int, str]:
     return code, out
 
 
-def _cmd_tower(args: argparse.Namespace, payload: bytes) -> tuple[int, str]:
+def _cmd_tower(args: SimpleNamespace, payload: bytes) -> tuple[int, str]:
     from .tower import euler_characteristic, pv_tower
 
     datum = _load_datum(payload)
@@ -162,7 +171,7 @@ def _cmd_tower(args: argparse.Namespace, payload: bytes) -> tuple[int, str]:
     return code, out
 
 
-def _cmd_koszul(args: argparse.Namespace, payload: bytes) -> tuple[int, str]:
+def _cmd_koszul(args: SimpleNamespace, payload: bytes) -> tuple[int, str]:
     from .exterior import Covector
     from .koszul import (
         build_symbolic,
@@ -236,7 +245,7 @@ def _cmd_koszul(args: argparse.Namespace, payload: bytes) -> tuple[int, str]:
     return EXIT_OK, out
 
 
-def _cmd_homog(args: argparse.Namespace, payload: bytes) -> tuple[int, str]:
+def _cmd_homog(args: SimpleNamespace, payload: bytes) -> tuple[int, str]:
     from .liegroups import SeriesSpec, homogeneous_ktheory
 
     big = SeriesSpec(args.series, args.n)
@@ -267,7 +276,7 @@ def _cmd_homog(args: argparse.Namespace, payload: bytes) -> tuple[int, str]:
     return EXIT_OK, out
 
 
-def _cmd_oracle(args: argparse.Namespace, payload: bytes) -> tuple[int, str]:
+def _cmd_oracle(args: SimpleNamespace, payload: bytes) -> tuple[int, str]:
     from .cubical import oracle_compare
 
     match = oracle_compare(args.n)
@@ -278,7 +287,7 @@ def _cmd_oracle(args: argparse.Namespace, payload: bytes) -> tuple[int, str]:
     return EXIT_OK, out
 
 
-def _cmd_shape(args: argparse.Namespace, payload: bytes) -> tuple[int, str]:
+def _cmd_shape(args: SimpleNamespace, payload: bytes) -> tuple[int, str]:
     from .liegroups import SeriesSpec, weyl_order
     from .tower import tower_shape
 
@@ -304,86 +313,268 @@ def _cmd_shape(args: argparse.Namespace, payload: bytes) -> tuple[int, str]:
     return EXIT_OK, out
 
 
-_COMMANDS = {
-    "rank1": _cmd_rank1,
-    "tower": _cmd_tower,
-    "koszul": _cmd_koszul,
-    "homog": _cmd_homog,
-    "oracle": _cmd_oracle,
-    "shape": _cmd_shape,
+# ---------------------------------------------------------------------------
+# The command line: one row per subcommand
+# ---------------------------------------------------------------------------
+
+
+class _Flag:
+    """One argument of a subcommand: ``input`` (the optional datum path) or a flag.
+
+    ``kind`` is a ``range`` of integers, a tuple of choices, ``int`` for any
+    integer, ``bool`` for a switch or ``str`` for the path.  ``excludes`` names
+    the argument that may not be given together with this one.
+    """
+
+    __slots__ = ("name", "kind", "help", "required", "excludes")
+
+    def __init__(self, name: str, kind, help: str = "", required: bool = False,
+                 excludes: str | None = None):
+        self.name, self.kind, self.help = name, kind, help
+        self.required, self.excludes = required, excludes
+
+
+class _Command:
+    """One subcommand: the handler that runs it, its help line and its arguments."""
+
+    __slots__ = ("handler", "help", "flags")
+
+    def __init__(self, handler, help: str, flags: tuple[_Flag, ...]):
+        self.handler, self.help, self.flags = handler, help, flags
+
+
+_INPUT = _Flag("input", str, "input JSON path (default: stdin)")
+_STRICT = _Flag("--strict", bool, "exit 3 on ambiguity flags")
+_FORMAT = _Flag("--format", ("text", "json"), "output format (default text)")
+
+_COMMAND_LINE = {
+    "rank1": _Command(
+        _cmd_rank1, "crossed-product K-theory for a single automorphism", (_INPUT, _STRICT, _FORMAT)
+    ),
+    "tower": _Command(
+        _cmd_tower, "full tower: level groups and final K-theory", (_INPUT, _STRICT, _FORMAT)
+    ),
+    "koszul": _Command(
+        _cmd_koszul,
+        "Koszul cohomology of a datum, or regularity report via --n",
+        (
+            _INPUT,
+            _Flag("--n", _WITNESS_RANK, "rank of the covector (1 - t_1, ..., 1 - t_n)",
+                  excludes="input"),
+            # Defaults 8 and 0 are filled in with --n; a datum rejects both flags.
+            _Flag("--seed", int, "witness seed (default 0; only with --n)"),
+            _Flag("--trials", _TRIALS, "witness trials (default 8; only with --n)"),
+            _FORMAT,
+        ),
+    ),
+    "homog": _Command(
+        _cmd_homog,
+        "K-theory of a classical homogeneous space",
+        (
+            _Flag("--series", _SERIES, required=True),
+            _Flag("--n", _HOMOG_N, required=True),
+            _Flag("--k", _WITNESS_RANK, required=True),
+            _Flag("--seed", int, "has no effect; still accepted"),
+            _FORMAT,
+        ),
+    ),
+    "oracle": _Command(
+        _cmd_oracle,
+        "compare cubical cochain matrices with contraction",
+        (_Flag("--n", _ORACLE_N, required=True), _FORMAT),
+    ),
+    "shape": _Command(
+        _cmd_shape,
+        "structural tower diagram data",
+        (
+            _Flag("--n", _SHAPE_N, required=True),
+            _Flag("--series", _SERIES),
+            _Flag("--w", _SHAPE_W, "Weyl multiplicity", excludes="--series"),
+            _Flag("--dual", bool, "dual tower labels"),
+            _FORMAT,
+        ),
+    ),
 }
+# Attribute names the handlers read, where they differ from the flag's.
+_DEST = {"input": "input_path", "--format": "output_format"}
 
 
-def run(args: argparse.Namespace, payload: bytes) -> tuple[int, str]:
+def run(args: SimpleNamespace, payload: bytes) -> tuple[int, str]:
     """Execute one parsed command; returns (exit code, output text)."""
-    return _COMMANDS[args.command](args, payload)
+    return _COMMAND_LINE[args.command].handler(args, payload)
 
 
-def _int_in(bounds: tuple[int, int]):
-    """An argparse type accepting the integers lo..hi; anything else exits 2."""
-    lo, hi = bounds
+class _UsageError(Exception):
+    """A bad command line: exit 2 below the usage of ``command`` (None: of pv)."""
 
-    def parse(text: str) -> int:
+    def __init__(self, command: str | None, message: str, prog: str | None = None):
+        super().__init__(message)
+        self.command = command
+        self.prog = prog or ("pv" if command is None else f"pv {command}")
+
+
+def _synopsis(flag: _Flag) -> str:
+    kind = flag.kind
+    if kind is str or kind is bool:
+        return flag.name
+    if kind is int:
+        return f"{flag.name} INT"
+    if isinstance(kind, range):
+        return f"{flag.name} {kind.start}..{kind[-1]}"
+    return f"{flag.name} {{{','.join(kind)}}}"
+
+
+def _usage(name: str | None) -> str:
+    if name is None:
+        return f"usage: pv {{{','.join(_COMMAND_LINE)}}} ..."
+    parts = [
+        _synopsis(f) if f.required else f"[{_synopsis(f)}]" for f in _COMMAND_LINE[name].flags
+    ]
+    return " ".join([f"usage: pv {name}", *parts])
+
+
+def _partners(flags) -> dict[str, str]:
+    """Each argument's exclusive partner, both ways round."""
+    pairs = {}
+    for f in flags:
+        if f.excludes:
+            pairs[f.name], pairs[f.excludes] = f.excludes, f.name
+    return pairs
+
+
+def _help(name: str | None) -> str:
+    if name is None:
+        text = "Exact K-theory of crossed products via Koszul complexes and Pimsner-Voiculescu towers."
+        rows = [(cmd, c.help) for cmd, c in _COMMAND_LINE.items()]
+    else:
+        command = _COMMAND_LINE[name]
+        partner = _partners(command.flags)
+        text = command.help
+        rows = []
+        for f in command.flags:
+            notes = [f.help] if f.help else []
+            if f.required:
+                notes.append("required")
+            if f.name in partner:
+                notes.append(f"not with {partner[f.name]}")
+            rows.append((_synopsis(f), "; ".join(notes)))
+    rows.append(("-h, --help", "show this help and exit"))
+    width = max(len(left) for left, _ in rows) + 2
+    lines = [_usage(name), "", text, ""] + [f"  {left:<{width}}{right}" for left, right in rows]
+    return "\n".join(lines) + "\n"
+
+
+def _is_flag(token: str) -> bool:
+    """Whether ``token`` names a flag; as in argparse, "-" and negative numbers do not."""
+    return token[:1] == "-" and token != "-" and not re.fullmatch(r"-\d+|-\d*\.\d+", token)
+
+
+def _value(flag: _Flag, text: str):
+    """The value of one argument; integers are ASCII decimal, signed only for ``int``."""
+    kind = flag.kind
+    if kind is str:
+        return text
+    if kind is bool:
+        return True
+    if isinstance(kind, tuple):
+        if text not in kind:
+            choices = ", ".join(map(repr, kind))
+            raise ValueError(f"invalid choice: {text!r} (choose from {choices})")
+        return text
+    digits = text[1:] if kind is int and text[:1] == "-" else text
+    value = None
+    if digits.isascii() and digits.isdigit():
         try:
             value = int(text)
-        except ValueError:
-            value = lo - 1
-        if not lo <= value <= hi:
-            raise argparse.ArgumentTypeError(
-                f"expected an integer in {lo}..{hi}, got {text!r}"
+        except ValueError:  # past Python's 4300-digit conversion limit
+            pass
+    if kind is int:
+        if value is None:
+            raise ValueError(f"invalid int value: {text!r}")
+    elif value is None or value not in kind:
+        raise ValueError(f"expected an integer in {kind.start}..{kind[-1]}, got {text!r}")
+    return value
+
+
+def _parse(argv: list[str]) -> SimpleNamespace | None:
+    """Read ``argv`` against :data:`_COMMAND_LINE`; None once ``--help`` is printed.
+
+    Flags are matched by their exact names, as ``--flag value`` or
+    ``--flag=value``, and each may be given once.  After ``--`` every token
+    is the input path.
+    """
+    if not argv:
+        raise _UsageError(None, "the following arguments are required: command")
+    name, *tokens = argv
+    if name in ("-h", "--help"):
+        sys.stdout.write(_help(None))
+        return None
+    if name not in _COMMAND_LINE:
+        choices = ", ".join(map(repr, _COMMAND_LINE))
+        raise _UsageError(None, f"argument command: invalid choice: {name!r} (choose from {choices})")
+    flags = {f.name: f for f in _COMMAND_LINE[name].flags}
+    partner = _partners(flags.values())
+    given: dict[str, object] = {}
+    unknown: list[str] = []
+    tokens = iter(tokens)
+    positional_only = False
+    for token in tokens:
+        if token == "--" and not positional_only:
+            positional_only = True
+            continue
+        if positional_only or not _is_flag(token):
+            flag, text = flags.get("input"), token
+            if flag is None or "input" in given:
+                unknown.append(token)
+                continue
+        else:
+            option, eq, text = token.partition("=")
+            if option in ("-h", "--help") and not eq:
+                sys.stdout.write(_help(name))
+                return None
+            flag = flags.get(option)
+            if flag is None:
+                unknown.append(token)
+                continue
+            if flag.kind is bool and eq:
+                raise _UsageError(name, f"argument {option}: ignored explicit argument {text!r}")
+            if flag.kind is not bool and not eq:
+                text = next(tokens, None)
+                if text is None or _is_flag(text):
+                    raise _UsageError(name, f"argument {option}: expected one argument")
+        try:
+            value = _value(flag, text)
+        except ValueError as exc:
+            raise _UsageError(name, f"argument {flag.name}: {exc}") from None
+        if flag.name in given:
+            raise _UsageError(name, f"argument {flag.name}: may be given only once")
+        if partner.get(flag.name) in given:
+            raise _UsageError(
+                name, f"argument {flag.name}: not allowed with argument {partner[flag.name]}"
             )
-        return value
-
-    return parse
-
-
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="pv",
-        description="Exact K-theory of crossed products via Koszul complexes "
-        "and Pimsner-Voiculescu towers.",
+        given[flag.name] = value
+    missing = [f.name for f in flags.values() if f.required and f.name not in given]
+    if missing:
+        raise _UsageError(name, f"the following arguments are required: {', '.join(missing)}")
+    if unknown:
+        raise _UsageError(name, f"unrecognized arguments: {' '.join(unknown)}", prog="pv")
+    return SimpleNamespace(
+        command=name,
+        **{
+            _DEST.get(f.name, f.name[2:]): given.get(f.name, False if f.kind is bool else None)
+            for f in flags.values()
+        },
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-    cmd = {
-        name: sub.add_parser(name, help=help_text)
-        for name, help_text in (
-            ("rank1", "crossed-product K-theory for a single automorphism"),
-            ("tower", "full tower: level groups and final K-theory"),
-            ("koszul", "Koszul cohomology of a datum, or regularity report via --n"),
-            ("homog", "K-theory of a classical homogeneous space"),
-            ("oracle", "compare cubical cochain matrices with contraction"),
-            ("shape", "structural tower diagram data"),
-        )
-    }
-    # koszul reads a datum unless --n asks for the symbolic report instead.
-    koszul_source = cmd["koszul"].add_mutually_exclusive_group()
-    for target in (cmd["rank1"], cmd["tower"], koszul_source):
-        target.add_argument(
-            "input_path", metavar="input", nargs="?", help="input JSON path (default: stdin)"
-        )
-    for name in ("rank1", "tower"):
-        cmd[name].add_argument("--strict", action="store_true", help="exit 3 on ambiguity flags")
-    koszul_source.add_argument("--n", type=_int_in(_WITNESS_RANK))
-    cmd["homog"].add_argument("--series", choices=_SERIES, required=True)
-    cmd["homog"].add_argument("--n", type=_int_in(_HOMOG_N), required=True)
-    cmd["homog"].add_argument("--k", type=_int_in(_WITNESS_RANK), required=True)
-    # Defaults 8 and 0 are filled in with --n; a datum rejects both flags.
-    cmd["koszul"].add_argument("--seed", type=int)
-    cmd["koszul"].add_argument("--trials", type=_int_in(_TRIALS))
-    cmd["homog"].add_argument("--seed", type=int, default=0, help="has no effect; still accepted")
-    cmd["oracle"].add_argument("--n", type=_int_in(_ORACLE_N), required=True)
-    cmd["shape"].add_argument("--n", type=_int_in(_SHAPE_N), required=True)
-    shape_weyl = cmd["shape"].add_mutually_exclusive_group()
-    shape_weyl.add_argument("--series", choices=_SERIES)
-    shape_weyl.add_argument("--w", type=_int_in(_SHAPE_W), help="Weyl multiplicity")
-    cmd["shape"].add_argument("--dual", action="store_true", help="dual tower labels")
-    for p in cmd.values():
-        p.add_argument("--format", dest="output_format", choices=("text", "json"), default="text")
-    return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = _parse(sys.argv[1:] if argv is None else list(argv))
+    except _UsageError as exc:
+        print(_usage(exc.command), f"{exc.prog}: error: {exc}", sep="\n", file=sys.stderr)
+        return EXIT_INVALID
+    if args is None:  # --help was printed
+        return EXIT_OK
     payload = b""
     # rank1, tower and koszul read a datum, except for `koszul --n`.
     if hasattr(args, "input_path") and getattr(args, "n", None) is None:
@@ -414,8 +605,9 @@ def entry() -> int:
 
     ``os._exit`` also skips ``atexit`` handlers.  If a flush fails, the code
     is returned for ``sys.exit``, whose shutdown flushes again and reports
-    the error as Python always does.  Usage errors, ``--help`` and
-    tracebacks never return from :func:`main` and exit as before.
+    the error as Python always does.  Usage errors and ``--help`` return
+    their codes from :func:`main` like any other outcome; only a traceback
+    ends the process through Python's own exit.
     """
     code = main()
     try:

@@ -17,12 +17,18 @@ from pvtower import cli
 
 COMMANDS = ("rank1", "tower", "koszul", "homog", "oracle", "shape")
 
-SMALL = st.integers(-1, 3).map(str) | st.sampled_from(["x", "", "1.5", "99"])
+# Malformed integers: underscores, blanks, a plus sign, non-ASCII digits.
+MALFORMED = st.sampled_from(["1_0", " 3", "3\n", "+3", "-0", "\u0663", "\uff13", "-\u0663"])
+SMALL = st.integers(-1, 3).map(str) | st.sampled_from(["x", "", "1.5", "99"]) | MALFORMED
+VALUED = st.tuples(st.sampled_from(["--n", "--k", "--w", "--trials", "--seed"]), SMALL)
 FLAGS = st.one_of(
-    st.tuples(st.sampled_from(["--n", "--k", "--w", "--trials", "--seed"]), SMALL),
+    VALUED,
+    VALUED.map(lambda flag: ("=".join(flag),)),
+    VALUED.map(lambda flag: flag * 2),  # the same flag twice
     st.tuples(st.just("--series"), st.sampled_from(["A", "B", "C", "D", "E"])),
     st.tuples(st.just("--format"), st.sampled_from(["json", "text", "yaml"])),
     st.sampled_from(["--strict", "--dual", "--help"]).map(lambda flag: (flag,)),
+    st.sampled_from(["--strict", "--dual"]).map(lambda flag: (flag, flag)),
 )
 JUNK = st.one_of(
     st.none(), st.booleans(), st.integers(-5, 5), st.floats(allow_nan=False),
@@ -80,10 +86,7 @@ def _main(argv, payload):
     sys.stdin = io.TextIOWrapper(io.BytesIO(payload))
     try:
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-            try:
-                return cli.main(argv)
-            except SystemExit as exc:  # argparse rejecting the command line, or --help
-                return exc.code
+            return cli.main(argv)
     finally:
         sys.stdin = saved
 
