@@ -323,7 +323,8 @@ class _Flag:
 
     ``kind`` is a ``range`` of integers, a tuple of choices, ``int`` for any
     integer, ``bool`` for a switch or ``str`` for the path.  ``excludes`` names
-    the argument that may not be given together with this one.
+    the argument that may not be given together with this one; each of the
+    two names the other.
     """
 
     __slots__ = ("name", "kind", "help", "required", "excludes")
@@ -358,7 +359,7 @@ _COMMAND_LINE = {
         _cmd_koszul,
         "Koszul cohomology of a datum, or regularity report via --n",
         (
-            _INPUT,
+            _Flag("input", str, "input JSON path (default: stdin)", excludes="--n"),
             _Flag("--n", _WITNESS_RANK, "rank of the covector (1 - t_1, ..., 1 - t_n)",
                   excludes="input"),
             # Defaults 8 and 0 are filled in with --n; a datum rejects both flags.
@@ -388,7 +389,7 @@ _COMMAND_LINE = {
         "structural tower diagram data",
         (
             _Flag("--n", _SHAPE_N, required=True),
-            _Flag("--series", _SERIES),
+            _Flag("--series", _SERIES, excludes="--w"),
             _Flag("--w", _SHAPE_W, "Weyl multiplicity", excludes="--series"),
             _Flag("--dual", bool, "dual tower labels"),
             _FORMAT,
@@ -433,30 +434,20 @@ def _usage(name: str | None) -> str:
     return " ".join([f"usage: pv {name}", *parts])
 
 
-def _partners(flags) -> dict[str, str]:
-    """Each argument's exclusive partner, both ways round."""
-    pairs = {}
-    for f in flags:
-        if f.excludes:
-            pairs[f.name], pairs[f.excludes] = f.excludes, f.name
-    return pairs
-
-
 def _help(name: str | None) -> str:
     if name is None:
         text = "Exact K-theory of crossed products via Koszul complexes and Pimsner-Voiculescu towers."
         rows = [(cmd, c.help) for cmd, c in _COMMAND_LINE.items()]
     else:
         command = _COMMAND_LINE[name]
-        partner = _partners(command.flags)
         text = command.help
         rows = []
         for f in command.flags:
             notes = [f.help] if f.help else []
             if f.required:
                 notes.append("required")
-            if f.name in partner:
-                notes.append(f"not with {partner[f.name]}")
+            if f.excludes:
+                notes.append(f"not with {f.excludes}")
             rows.append((_synopsis(f), "; ".join(notes)))
     rows.append(("-h, --help", "show this help and exit"))
     width = max(len(left) for left, _ in rows) + 2
@@ -513,7 +504,6 @@ def _parse(argv: list[str]) -> SimpleNamespace | None:
         choices = ", ".join(map(repr, _COMMAND_LINE))
         raise _UsageError(None, f"argument command: invalid choice: {name!r} (choose from {choices})")
     flags = {f.name: f for f in _COMMAND_LINE[name].flags}
-    partner = _partners(flags.values())
     given: dict[str, object] = {}
     unknown: list[str] = []
     tokens = iter(tokens)
@@ -548,9 +538,9 @@ def _parse(argv: list[str]) -> SimpleNamespace | None:
             raise _UsageError(name, f"argument {flag.name}: {exc}") from None
         if flag.name in given:
             raise _UsageError(name, f"argument {flag.name}: may be given only once")
-        if partner.get(flag.name) in given:
+        if flag.excludes in given:
             raise _UsageError(
-                name, f"argument {flag.name}: not allowed with argument {partner[flag.name]}"
+                name, f"argument {flag.name}: not allowed with argument {flag.excludes}"
             )
         given[flag.name] = value
     missing = [f.name for f in flags.values() if f.required and f.name not in given]
