@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import json
 import os
-import re
 import sys
 from types import SimpleNamespace
 
@@ -457,7 +456,12 @@ def _help(name: str | None) -> str:
 
 def _is_flag(token: str) -> bool:
     """Whether ``token`` names a flag; as in argparse, "-" and negative numbers do not."""
-    return token[:1] == "-" and token != "-" and not re.fullmatch(r"-\d+|-\d*\.\d+", token)
+    if token[:1] != "-" or token == "-":
+        return False
+    whole, dot, fraction = token[1:].partition(".")
+    if dot:  # -.5 and -1.5 are numbers, -1. is not
+        return not ((whole == "" or whole.isdecimal()) and fraction.isdecimal())
+    return not whole.isdecimal()
 
 
 def _value(flag: _Flag, text: str):
