@@ -11,8 +11,8 @@ The command line is read against one table, ``_COMMAND_LINE``, with a row
 per subcommand; ``--help`` is printed from it.  A flag is matched by its
 exact name, as ``--flag value`` or ``--flag=value``, and may be given once;
 an integer is ASCII decimal, with a leading ``-`` only for ``--seed``.
-Parsing imports nothing that ``json`` does not load already; ``argparse``,
-with the ``gettext`` it loads, cost about 5 ms of every process.
+Parsing imports nothing; importing ``argparse`` (with ``gettext``) and
+building its parsers cost about 5 ms of every process.
 
 Exit codes: 0 success (``--help`` included), 2 a bad command line or an
 input validation failure (running out of memory included), 3 ambiguity
