@@ -1,15 +1,17 @@
 """Finitely generated abelian groups and exact integer linear algebra.
 
 :func:`cokernel` reads only invariant factors, so it runs a sparse
-elimination that records nothing.  ``snf`` computes Smith normal form and
-records its elementary row and column operations, because its callers
-read transforms: lattice membership (``span_coordinates``), lattice bases,
-kernels and solves.  U, V and their inverses are built from that record
-only when read.  Groups are always in invariant-factor canonical form, so
-``FGAbelianGroup`` equality is isomorphism.
+elimination that records nothing, on sparse {column: value} rows or an
+``IntMatrix``.  Its pivot is the first unit in row order, else the first
+entry of least |value|, found by a search that visits only live rows,
+each keeping its least entry until the row changes.  ``snf`` computes
+Smith normal form and records its elementary row and column operations,
+because its callers read transforms: lattice membership
+(``span_coordinates``), lattice bases, kernels and solves.  U, V and
+their inverses are built from that record only when read.  Groups are
+always in invariant-factor canonical form, so ``FGAbelianGroup``
+equality is isomorphism.
 """
-from __future__ import annotations
-
 from functools import cached_property
 from math import gcd
 from typing import Iterable, Sequence
@@ -57,6 +59,11 @@ class IntMatrix:
     @classmethod
     def column(cls, values: Sequence[int]) -> "IntMatrix":
         return cls(len(values), 1, tuple((int(v),) for v in values))
+
+    @classmethod
+    def from_sparse(cls, rows: Sequence[dict[int, int]], cols: int) -> "IntMatrix":
+        """The matrix whose rows are the given {column: value} maps."""
+        return cls.from_rows([[row.get(j, 0) for j in range(cols)] for row in rows], cols)
 
     def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
         if self.cols != other.rows:
@@ -470,43 +477,59 @@ class FGAbelianGroup:
         return " + ".join(parts) if parts else "0"
 
 
-def cokernel(m: IntMatrix) -> FGAbelianGroup:
+def cokernel(m: IntMatrix | Sequence[dict[int, int]]) -> FGAbelianGroup:
     """Z^rows modulo the column span of m, by a sparse elimination that records nothing.
 
-    Rows are {column: value} maps, indexed from each column to its rows.
-    The pivot is the first unit found, else an entry of least |value|.  Row
-    operations clear its column; once the column holds only the pivot,
-    column operations just reduce the pivot's row modulo the pivot.  A
-    remainder becomes the next pivot; a pivot alone in its row and column
-    is the cyclic order |pivot|, and both are dropped.
+    m is an IntMatrix or a list of {column: value} rows, which is copied, not
+    changed; the rows are indexed from each column to its rows.  The pivot
+    is the first unit in row order, else the first entry of least |value|
+    (rows in order, entries in their map's order).  The search visits only
+    live rows, each keeping its least entry until an elimination step
+    touches it.  Row operations clear the pivot's column; once the column
+    holds only the pivot, column operations just reduce the pivot's row
+    modulo the pivot.  A remainder becomes the next pivot; a pivot alone in
+    its row and column is the cyclic order |pivot|, and both are dropped.
     """
-    rows = [{j: x for j, x in enumerate(row) if x} for row in m.entries]
+    rows = ([{j: x for j, x in enumerate(row) if x} for row in m.entries]
+            if isinstance(m, IntMatrix) else [{j: x for j, x in row.items() if x} for row in m])
     holders: dict[int, set[int]] = {}
     for i, row in enumerate(rows):
         for j in row:
             holders.setdefault(j, set()).add(i)
+    least: dict[int, tuple[int, int, int]] = {}  # live row -> (|value|, row, column)
+    stale = {i for i, row in enumerate(rows) if row}  # live rows not in ``least``
     orders = []
     while True:
-        best = (0, 0, 0)
-        for r, row in enumerate(rows):
-            for c, x in row.items():
-                if not best[0] or abs(x) < best[0]:
-                    best = (abs(x), r, c)
-            if best[0] == 1:
-                break
-        if not best[0]:
-            return FGAbelianGroup.from_invariants(m.rows - len(orders), orders)
+        best = min(least.values(), default=None)
+        for r in sorted(stale):
+            if best and best[0] == 1 and best[1] < r:
+                break  # no later row beats an earlier unit
+            row = rows[r]
+            sizes = list(map(abs, row.values()))
+            low = min(sizes)
+            least[r] = entry = (low, r, list(row)[sizes.index(low)])
+            stale.discard(r)
+            if best is None or entry < best:
+                best = entry
+        if best is None:
+            return FGAbelianGroup.from_invariants(len(rows) - len(orders), orders)
         _, i, j = best
+        touched = set()
         while True:
+            touched.add(i)
             prow = rows[i]
             p = prow[j]
             for k in holders[j] - {i}:
                 row, q = rows[k], rows[k][j] // p
+                if q:
+                    touched.add(k)
                 for c, v in prow.items() if q else ():
-                    x = row.get(c, 0) - q * v
-                    if x:
-                        row[c] = x
+                    x = row.get(c)
+                    if x is None:  # fill-in
+                        row[c] = -q * v
                         holders[c].add(k)
+                    elif x := x - q * v:
+                        row[c] = x
                     else:
                         del row[c]
                         holders[c].discard(k)
@@ -525,6 +548,9 @@ def cokernel(m: IntMatrix) -> FGAbelianGroup:
         holders[j].discard(i)
         rows[i] = {}
         orders.append(abs(p))
+        for r in touched:
+            least.pop(r, None)
+        stale = {r for r in stale | touched if rows[r]}
 
 
 def kernel_rank(m: IntMatrix) -> int:

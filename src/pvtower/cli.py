@@ -27,8 +27,6 @@ frees anyway.  Skipping it saved 6-13 ms of every 45-126 ms process
 :func:`main`, which returns the code.
 """
 
-from __future__ import annotations
-
 import json
 import os
 import sys

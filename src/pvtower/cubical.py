@@ -9,8 +9,6 @@ enumerating actual face boundaries, independently of any contraction
 formula.  Comparing the two is the job of :func:`oracle_compare`.
 """
 
-from __future__ import annotations
-
 from itertools import combinations
 from typing import NamedTuple
 

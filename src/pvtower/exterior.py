@@ -8,8 +8,6 @@ p is the 1-based position of the removed index in the sorted subset;
 :func:`contraction_terms` is the one place that applies it.
 """
 
-from __future__ import annotations
-
 from functools import cached_property
 from itertools import combinations
 from math import comb

@@ -26,9 +26,8 @@ rule of ``contraction_terms``, which the tests check, and datum d d = B h
 is made of the commutators that ``ModuleDatum`` validation solves for.
 """
 
-from __future__ import annotations
-
 import random
+from functools import cached_property
 from itertools import combinations
 from math import comb
 
@@ -299,17 +298,28 @@ class DatumComplex:
         Z^(dim T_d - rk delta_d - dim Q_d) + tors coker iota_d.
 
     A free parity has r = 0, and these are the textbook formulas.
-    ``totals[parity][j-1]`` holds delta_j and ``quotients[parity][d]`` the
+    ``deltas[parity][j-1]`` holds delta_j as sparse rows, one {column:
+    value} map per row of T_(j-1), and ``quotients[parity][d]`` the
     cokernel of delta_(d+1), of free rank dim T_d - rk delta_(d+1).
+    ``totals[parity][j-1]`` is the dense view of delta_j, an IntMatrix
+    built from the sparse rows when first read.
     """
 
     datum: ModuleDatum
-    totals: dict[str, tuple[IntMatrix, ...]]
+    deltas: dict[str, tuple[list[dict[int, int]], ...]]
     quotients: dict[str, tuple[FGAbelianGroup, ...]]
 
     @property
     def n(self) -> int:
         return self.datum.n
+
+    @cached_property
+    def totals(self) -> dict[str, tuple[IntMatrix, ...]]:
+        """Each delta_j as an IntMatrix of shape dim T_(j-1) x dim T_j."""
+        n, action = self.n, self.datum.lattice_action
+        return {p: tuple(IntMatrix.from_sparse(
+            rows, comb(n, j) * action[p][0].rows + comb(n, j - 1) * action[p][0].cols)
+            for j, rows in enumerate(self.deltas[p], 1)) for p in PARITIES}
 
     def differential(self, j: int, parity: str) -> IntMatrix:
         """d_j: spot j -> spot j-1 on one parity, j in 1..n: the P block of delta_j."""
@@ -325,57 +335,73 @@ def build_symbolic(v: Covector) -> SymbolicComplex:
     return SymbolicComplex(v, tuple(koszul_matrix(v, j) for j in range(1, v.n + 1)))
 
 
-def _double_contraction_terms(n: int, j: int):
+def _double_contraction_terms(lower: list, upper: list):
     """Terms (row, col, (a, b), sign) of d_(j-1) d_j: wedge^j -> wedge^(j-2), a < b.
 
+    ``lower`` and ``upper`` are the contraction terms of degrees j - 1 and j.
     Dropping b, then a, gives sign * (1 - beta_a)(1 - beta_b), and dropping
     a, then b, gives -sign * (1 - beta_b)(1 - beta_a): sign * [beta_a, beta_b].
     """
     second: dict[int, list[tuple[int, int, int]]] = {}
-    for row, mid, a, sign in contraction_terms(n, j - 1):
+    for row, mid, a, sign in lower:
         second.setdefault(mid, []).append((row, a, sign))
-    for mid, col, b, sign in contraction_terms(n, j):
+    for mid, col, b, sign in upper:
         for row, a, sign2 in second[mid]:
             if a < b:
                 yield row, col, (a, b), sign * sign2
 
 
-def _total_differential(n: int, j: int, basis: IntMatrix, one_minus: list[IntMatrix],
-                        commutators: dict, one_minus_rho: list[IntMatrix]) -> IntMatrix:
-    """delta_j = [[d_j, B], [-h_j, -d'_(j-1)]]: P_j + Q_(j-1) -> P_(j-1) + Q_(j-2)."""
-    g, r = basis.rows, basis.cols
+def _nonzeros(m: IntMatrix) -> list[list[tuple[int, int]]]:
+    """The (column, value) pairs of the nonzero entries of each row of m."""
+    return [[(b, x) for b, x in enumerate(row) if x] for row in m.entries]
+
+
+def _total_differential(n: int, j: int, g: int, r: int, terms: list, pairs: dict, basis: list,
+                        one_minus: list, commutators: dict, one_minus_rho: list) -> list[dict]:
+    """delta_j = [[d_j, B], [-h_j, -d'_(j-1)]]: P_j + Q_(j-1) -> P_(j-1) + Q_(j-2), as sparse rows.
+
+    Blocks are given by :func:`_nonzeros`, and ``terms[k]`` and ``pairs[k]``
+    list the contraction and double contraction terms of degree k.  Each row
+    gets its blocks from left to right, so its columns increase.
+    """
     top, left = comb(n, j - 1) * g, comb(n, j) * g
-    width = left + comb(n, j - 1) * r
-    grid = [[0] * width for _ in range(top + (comb(n, j - 2) * r if j >= 2 else 0))]
-    blocks = [(k * g, left + k * r, basis, 1) for k in range(comb(n, j - 1))]
+    rows: list[dict[int, int]] = [{} for _ in range(top + (comb(n, j - 2) * r if j >= 2 else 0))]
+    blocks = []
     if j <= n:
-        blocks += [(row * g, col * g, one_minus[s - 1], sign)
-                   for row, col, s, sign in contraction_terms(n, j)]
+        blocks += [(row * g, col * g, one_minus[s - 1], sign) for row, col, s, sign in terms[j]]
+    blocks += [(k * g, left + k * r, basis, 1) for k in range(comb(n, j - 1))]
     if r and j >= 2:
         if j <= n:
             blocks += [(top + row * r, col * g, commutators[ab], -sign)
-                       for row, col, ab, sign in _double_contraction_terms(n, j)]
+                       for row, col, ab, sign in pairs[j]]
         blocks += [(top + row * r, left + col * r, one_minus_rho[s - 1], -sign)
-                   for row, col, s, sign in contraction_terms(n, j - 1)]
+                   for row, col, s, sign in terms[j - 1]]
     for row0, col0, block, sign in blocks:
-        for a, values in enumerate(block.entries):
-            grid[row0 + a][col0:col0 + block.cols] = values if sign == 1 else [-x for x in values]
-    return IntMatrix(len(grid), width, tuple(map(tuple, grid)))
+        for a, entries in enumerate(block):
+            target = rows[row0 + a]
+            for b, x in entries:
+                target[col0 + b] = sign * x
+    return rows
 
 
 def build_datum(datum: ModuleDatum) -> DatumComplex:
     """The free total complex of a module datum and the cokernel of each differential."""
-    totals, quotients = {}, {}
+    n = datum.n  # the term lists serve both parities; double terms only with relations
+    terms = [None] + [list(contraction_terms(n, j)) for j in range(1, n + 1)]
+    pairs = {j: list(_double_contraction_terms(terms[j - 1], terms[j])) for j in range(2, n + 1)
+             if any(datum.lattice_action[parity][0].cols for parity in PARITIES)}
+    deltas, quotients = {}, {}
     for parity in PARITIES:
         basis, rhos, commutators = datum.lattice_action[parity]
-        one_minus = [IntMatrix.identity(basis.rows) - e.part(parity) for e in datum.endos]
-        one_minus_rho = [IntMatrix.identity(basis.cols) - rho for rho in rhos]
-        totals[parity] = tuple(
-            _total_differential(datum.n, j, basis, one_minus, commutators, one_minus_rho)
-            for j in range(1, datum.n + 2)
-        )
-        quotients[parity] = tuple(map(cokernel, totals[parity]))
-    return DatumComplex(datum, totals, quotients)
+        g, r = basis.rows, basis.cols
+        blocks = (_nonzeros(basis),
+                  [_nonzeros(IntMatrix.identity(g) - e.part(parity)) for e in datum.endos],
+                  {ab: _nonzeros(c) for ab, c in commutators.items()},
+                  [_nonzeros(IntMatrix.identity(r) - rho) for rho in rhos])
+        deltas[parity] = tuple(_total_differential(n, j, g, r, terms, pairs, *blocks)
+                               for j in range(1, n + 2))
+        quotients[parity] = tuple(map(cokernel, deltas[parity]))
+    return DatumComplex(datum, deltas, quotients)
 
 
 # ---------------------------------------------------------------------------
@@ -392,11 +418,11 @@ def _spot_quotient(cx: DatumComplex, d: int, incoming: bool) -> GradedGroup:
     for parity in PARITIES:
         quotient = cx.quotients[parity][d]
         if not incoming:
-            delta = cx.totals[parity][d]
             left = comb(cx.n, d + 1) * cx.datum.presentation(parity).free_rank
-            quotient = cokernel(delta.take_cols(left, delta.cols))
+            quotient = cokernel([{c: x for c, x in row.items() if c >= left}
+                                 for row in cx.deltas[parity][d]])
         # rk delta_d, from the cokernel of delta_d; delta_0 = 0.
-        rank_in = d and cx.totals[parity][d - 1].rows - cx.quotients[parity][d - 1].free_rank
+        rank_in = d and len(cx.deltas[parity][d - 1]) - cx.quotients[parity][d - 1].free_rank
         parts[parity] = FGAbelianGroup(quotient.free_rank - rank_in, quotient.torsion)
     return GradedGroup(parts["even"], parts["odd"])
 

@@ -10,8 +10,6 @@ theorem and is not built here; the n - k remaining directions contribute
 an exterior algebra by convolution.
 """
 
-from __future__ import annotations
-
 from math import factorial
 
 from ._record import record

@@ -12,8 +12,6 @@ prime field F_P with P = 2^61 - 1: a point is a vector of residues and
 negative exponents are modular inverses.
 """
 
-from __future__ import annotations
-
 from operator import index
 from typing import Iterator, Mapping, Sequence
 

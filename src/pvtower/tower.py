@@ -14,8 +14,6 @@ torsion -- a free kernel forces the extension to split, torsion does
 not, and we never guess.
 """
 
-from __future__ import annotations
-
 from math import comb
 
 from ._record import record
