@@ -385,7 +385,7 @@ def rational_rank(rows: Sequence[Sequence[int]]) -> int:
 
 def normalize_invariant_factors(factors: Iterable[int]) -> tuple[int, ...]:
     """Reduce a multiset of cyclic orders to a divisor chain d1 | d2 | ..."""
-    work = sorted(abs(int(f)) for f in factors if abs(int(f)) > 1)
+    work = sorted(filter((1).__lt__, map(abs, map(int, factors))))
     changed = True
     while changed:
         changed = False
