@@ -19,7 +19,9 @@ of free groups, T_d = P_d + Q_(d-1) with P_d the spot and Q_d = Z^(C(n, d) r),
 
 which maps onto the Koszul complex of the quotient groups with the cone
 of the identity of Q as kernel; :class:`DatumComplex` gives d', h and
-the formulas for cohomology and level kernels.
+the formulas for cohomology and level kernels.  Each delta_d is written
+and eliminated as sparse {column: value} rows (``DatumComplex.deltas``);
+``DatumComplex.totals`` is their dense view, built only when read.
 
 Neither builder multiplies differentials: symbolic d d = 0 is the sign
 rule of ``contraction_terms``, which the tests check, and datum d d = B h
@@ -299,10 +301,9 @@ class DatumComplex:
 
     A free parity has r = 0, and these are the textbook formulas.
     ``deltas[parity][j-1]`` holds delta_j as sparse rows, one {column:
-    value} map per row of T_(j-1), and ``quotients[parity][d]`` the
-    cokernel of delta_(d+1), of free rank dim T_d - rk delta_(d+1).
-    ``totals[parity][j-1]`` is the dense view of delta_j, an IntMatrix
-    built from the sparse rows when first read.
+    value} map per row, and ``quotients[parity][d]`` the cokernel of
+    delta_(d+1), of free rank dim T_d - rk delta_(d+1).  ``totals`` is the
+    dense view: ``totals[parity][j-1]`` is delta_j as an IntMatrix.
     """
 
     datum: ModuleDatum
@@ -360,9 +361,8 @@ def _total_differential(n: int, j: int, g: int, r: int, terms: list, pairs: dict
                         one_minus: list, commutators: dict, one_minus_rho: list) -> list[dict]:
     """delta_j = [[d_j, B], [-h_j, -d'_(j-1)]]: P_j + Q_(j-1) -> P_(j-1) + Q_(j-2), as sparse rows.
 
-    Blocks are given by :func:`_nonzeros`, and ``terms[k]`` and ``pairs[k]``
-    list the contraction and double contraction terms of degree k.  Each row
-    gets its blocks from left to right, so its columns increase.
+    ``terms[k]`` and ``pairs[k]`` list the (double) contraction terms of
+    degree k; blocks go in from the left, so each row's columns increase.
     """
     top, left = comb(n, j - 1) * g, comb(n, j) * g
     rows: list[dict[int, int]] = [{} for _ in range(top + (comb(n, j - 2) * r if j >= 2 else 0))]
