@@ -504,25 +504,24 @@ def cokernel(m: IntMatrix | Sequence[dict[int, int]]) -> FGAbelianGroup:
         for r in sorted(stale):
             if best and best[0] == 1 and best[1] < r:
                 break  # no later row beats an earlier unit
-            row = rows[r]
-            sizes = list(map(abs, row.values()))
-            low = min(sizes)
-            least[r] = entry = (low, r, list(row)[sizes.index(low)])
             stale.discard(r)
-            if best is None or entry < best:
-                best = entry
+            if row := rows[r]:
+                sizes = list(map(abs, row.values()))
+                low = min(sizes)
+                least[r] = entry = (low, r, list(row)[sizes.index(low)])
+                if best is None or entry < best:
+                    best = entry
         if best is None:
             return FGAbelianGroup.from_invariants(len(rows) - len(orders), orders)
         _, i, j = best
-        touched = set()
         while True:
-            touched.add(i)
             prow = rows[i]
             p = prow[j]
             for k in holders[j] - {i}:
                 row, q = rows[k], rows[k][j] // p
                 if q:
-                    touched.add(k)
+                    least.pop(k, None)
+                    stale.add(k)
                 for c, v in prow.items() if q else ():
                     x = row.get(c)
                     if x is None:  # fill-in
@@ -537,6 +536,8 @@ def cokernel(m: IntMatrix | Sequence[dict[int, int]]) -> FGAbelianGroup:
             if rest:
                 i = min(rest, key=lambda k: abs(rows[k][j]))
                 continue
+            least.pop(i, None)
+            stale.add(i)
             for c in [c for c in prow if c != j]:
                 prow[c] %= p
                 if not prow[c]:
@@ -547,10 +548,8 @@ def cokernel(m: IntMatrix | Sequence[dict[int, int]]) -> FGAbelianGroup:
             j = min((c for c in prow if c != j), key=lambda c: abs(prow[c]))
         holders[j].discard(i)
         rows[i] = {}
+        stale.discard(i)
         orders.append(abs(p))
-        for r in touched:
-            least.pop(r, None)
-        stale = {r for r in stale | touched if rows[r]}
 
 
 def kernel_rank(m: IntMatrix) -> int:
