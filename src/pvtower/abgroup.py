@@ -12,9 +12,9 @@ their inverses are built from that record only when read.  Groups are
 always in invariant-factor canonical form, so ``FGAbelianGroup``
 equality is isomorphism.
 """
+from collections.abc import Iterable, Sequence
 from functools import cached_property
 from math import gcd
-from typing import Iterable, Sequence
 
 from ._record import record, set_field
 

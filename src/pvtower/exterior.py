@@ -8,10 +8,10 @@ p is the 1-based position of the removed index in the sorted subset;
 :func:`contraction_terms` is the one place that applies it.
 """
 
+from collections.abc import Iterator
 from functools import cached_property
 from itertools import combinations
 from math import comb
-from typing import Iterator
 
 from ._record import record
 from .ring import LaurentPoly, PolyMatrix, one_minus_var

@@ -12,8 +12,8 @@ prime field F_P with P = 2^61 - 1: a point is a vector of residues and
 negative exponents are modular inverses.
 """
 
+from collections.abc import Iterator, Mapping, Sequence
 from operator import index
-from typing import Iterator, Mapping, Sequence
 
 from ._record import record
 

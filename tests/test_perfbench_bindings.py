@@ -6,6 +6,8 @@ without failing any other test.  Six bound names have no caller in
 ``src/``: ``kernel_basis``, ``column_span_basis``, ``solve_exact``,
 ``subquotient``, ``kernel_rank`` and ``rational_rank``.  Only tests and
 their oracles call them; they stay while the trace binds them by name.
+A wrapped name must also still be the one the datum path calls, or its
+span silently stops covering that path.
 """
 
 import importlib
@@ -51,3 +53,27 @@ def test_traced_methods_resolve():
 def test_traced_validation_is_a_classmethod():
     raw = vars(_module("koszul").ModuleDatum).get("from_json_dict")
     assert isinstance(raw, classmethod)
+
+
+def test_traced_cokernel_covers_the_datum_path():
+    # Install the tracer's wrappers as `--trace 1` does, then count the
+    # cokernel spans: build_datum eliminates delta_1..delta_(n+1) per parity.
+    modules = {layer: _module(layer) for layer in tracing.LAYERS}
+    datum = modules["koszul"].ModuleDatum.from_json_dict({
+        "n": 3,
+        "even": {"free_rank": 2, "relations": [[2, 0], [0, 2]]},
+        "odd": {"free_rank": 1, "relations": []},
+        "endos": [
+            {"even": [[0, 1], [1, 0]], "odd": [[-1]]},
+            {"even": [[1, 0], [0, 1]], "odd": [[1]]},
+            {"even": [[-1, 0], [0, -1]], "odd": [[-1]]},
+        ],
+    })
+    tracer = tracing.Tracer(modules)
+    tracer.install()
+    try:
+        modules["koszul"].datum_cohomology(datum)
+    finally:
+        tracer.remove()
+    calls = sum(1 for span in tracer.spans if span[0] == "abgroup.cokernel")
+    assert calls >= 2 * (datum.n + 1)

@@ -3,7 +3,8 @@
 sympy's normal forms share no code with pvtower.  Most inputs stay at 6x6
 with entries up to 9: on larger matrices sympy's invariant factors can
 take minutes.  The cokernel is also checked on sparse matrices of the
-sizes the datum complexes reach, through sympy's modular Hermite form.
+sizes the datum complexes reach, through sympy's modular Hermite form, both
+as an ``IntMatrix`` and as the sparse rows the datum complexes pass it.
 """
 
 import random
@@ -147,6 +148,11 @@ def sparse_matrices(draw):
 def test_cokernel_matches_sympy_at_datum_sizes(m):
     orders = sympy_orders(m)
     assert cokernel(m) == FGAbelianGroup.from_invariants(m.rows - len(orders), orders)
+    # The same matrix as sparse rows, the form the datum complexes take: a zero
+    # row is {}, a zeroed column has no entry, and neither the column labels
+    # nor the order of a row's entries is that of the dense matrix.
+    rows = [{3 * j + 1: x for j, x in reversed(list(enumerate(row))) if x} for row in m.entries]
+    assert cokernel(rows) == FGAbelianGroup.from_invariants(m.rows - len(orders), orders)
 
 
 @st.composite
