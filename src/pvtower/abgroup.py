@@ -455,18 +455,6 @@ class FGAbelianGroup:
     def is_trivial(self) -> bool:
         return self.free_rank == 0 and not self.torsion
 
-    def direct_sum(self, other: "FGAbelianGroup") -> "FGAbelianGroup":
-        return FGAbelianGroup.from_invariants(
-            self.free_rank + other.free_rank, self.torsion + other.torsion
-        )
-
-    def repeated(self, copies: int) -> "FGAbelianGroup":
-        if copies < 0:
-            raise ValueError("negative multiplicity")
-        return FGAbelianGroup.from_invariants(
-            self.free_rank * copies, self.torsion * copies
-        )
-
     def __str__(self) -> str:
         parts = []
         if self.free_rank == 1:
@@ -575,17 +563,6 @@ class GradedGroup:
     even: FGAbelianGroup = FGAbelianGroup()
     odd: FGAbelianGroup = FGAbelianGroup()
 
-    def suspend(self) -> "GradedGroup":
-        return GradedGroup(self.odd, self.even)
-
-    def direct_sum(self, other: "GradedGroup") -> "GradedGroup":
-        return GradedGroup(
-            self.even.direct_sum(other.even), self.odd.direct_sum(other.odd)
-        )
-
-    def repeated(self, copies: int) -> "GradedGroup":
-        return GradedGroup(self.even.repeated(copies), self.odd.repeated(copies))
-
     @property
     def has_torsion(self) -> bool:
         return self.even.has_torsion or self.odd.has_torsion
@@ -599,3 +576,19 @@ class GradedGroup:
 
     def __str__(self) -> str:
         return f"(even: {self.even}, odd: {self.odd})"
+
+
+def split_sum(terms: Iterable[tuple[GradedGroup, int, int]]) -> GradedGroup:
+    """The sum of ``copies`` copies of Sigma^shift group over the (group, shift, copies) terms.
+
+    An odd shift swaps the even and odd parts; each parity is normalized once.
+    """
+    free, torsion = [0, 0], [[], []]
+    for group, shift, copies in terms:
+        if copies < 0:
+            raise ValueError("negative multiplicity")
+        for parity, part in enumerate((group.even, group.odd)):
+            k = (parity + shift) % 2
+            free[k] += part.free_rank * copies
+            torsion[k] += part.torsion * copies
+    return GradedGroup(*map(FGAbelianGroup.from_invariants, free, torsion))

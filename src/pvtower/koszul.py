@@ -42,6 +42,7 @@ from .abgroup import (
     SmithNormalForm,
     cokernel,
     snf,
+    split_sum,
 )
 from .exterior import Covector, contraction_terms, koszul_matrix
 from .ring import P, PolyMatrix
@@ -118,6 +119,7 @@ class ModuleDatum:
         # lies in it, parity by parity.  What the tests solve for is kept as
         # ``lattice_action[parity]``: the relation basis B, the rho_i with
         # beta_i B = B rho_i, and the c_ab with [beta_a, beta_b] = B c_ab.
+        # A parity without relations only checks beta_a beta_b = beta_b beta_a.
         lattices, actions = {}, {}
         for parity in PARITIES:
             rel = self.presentation(parity).relations
@@ -130,12 +132,15 @@ class ModuleDatum:
             ]
             actions[parity] = (basis, rhos, {})
         for parity in PARITIES:
+            lattice = lattices[parity]
             for (i, a), (j, b) in combinations(enumerate(self.endos), 2):
                 a, b = a.part(parity), b.part(parity)
-                actions[parity][2][i + 1, j + 1] = _coordinates(
-                    lattices[parity], a @ b - b @ a,
-                    f"endos[{i}] and endos[{j}] do not commute ({parity} part)",
-                )
+                ab, ba = a @ b, b @ a
+                error = f"endos[{i}] and endos[{j}] do not commute ({parity} part)"
+                if lattice is not None:
+                    actions[parity][2][i + 1, j + 1] = _coordinates(lattice, ab - ba, error)
+                elif ab != ba:
+                    raise DatumError(error)
         set_field(self, "lattice_action", actions)
 
     @property
@@ -452,19 +457,12 @@ def convolve_with_exterior(spot_groups: list[GradedGroup], z: int) -> list[Grade
     """Tensor spot-indexed cohomology with wedge* Z^z.
 
     Zero covector directions contribute pure degree shifts: the output at
-    spot d collects C(z, a) copies of the input at spot d - a.  Suspension
+    spot d collects C(z, d - i) copies of the input at spot i.  Suspension
     bookkeeping happens downstream, where spot d carries shift Sigma^d, so
-    the convolution itself works with plain groups.
+    each output spot is one split sum of unshifted copies.
     """
-    n_in = len(spot_groups) - 1
-    out = []
-    for d in range(n_in + z + 1):
-        acc = GradedGroup()
-        for a in range(z + 1):
-            if 0 <= d - a <= n_in:
-                acc = acc.direct_sum(spot_groups[d - a].repeated(comb(z, a)))
-        out.append(acc)
-    return out
+    return [split_sum((g, 0, comb(z, d - i)) for i, g in enumerate(spot_groups) if 0 <= d - i <= z)
+            for d in range(len(spot_groups) + z)]
 
 
 # ---------------------------------------------------------------------------

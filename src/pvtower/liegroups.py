@@ -13,9 +13,8 @@ an exterior algebra by convolution.
 from math import factorial
 
 from ._record import record
-from .abgroup import FGAbelianGroup, GradedGroup
+from .abgroup import FGAbelianGroup, GradedGroup, split_sum
 from .koszul import convolve_with_exterior
-from .tower import assemble_final
 
 _MIN_RANK = {"A": 1, "B": 2, "C": 3, "D": 3}
 
@@ -95,7 +94,7 @@ def homogeneous_ktheory(big: SeriesSpec, small: SeriesSpec) -> HomogeneousKTheor
     regular_spots = [GradedGroup(FGAbelianGroup.free(1), FGAbelianGroup.trivial())]
     regular_spots += [GradedGroup() for _ in range(k)]
     spot_groups = convolve_with_exterior(regular_spots, n - k)
-    group = assemble_final(spot_groups)
+    group = split_sum((g, d, 1) for d, g in enumerate(spot_groups))
     return HomogeneousKTheory(
         group=group,
         spot_groups=tuple(spot_groups),

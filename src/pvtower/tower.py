@@ -5,7 +5,8 @@ pairwise commuting graded automorphisms.  The crossed-product K-theory
 is assembled from the Koszul cohomology groups h_d (at the wedge^d
 spot), each contributing with degree shift Sigma^d; intermediate tower
 levels truncate the complex and pick up the kernel of the outgoing
-differential at the top retained spot.
+differential at the top retained spot.  Each level, and the final
+vertex, is one split sum (``abgroup.split_sum``), normalized once per parity.
 
 Extension policy: the triangles determine groups only up to extensions,
 so the assembled answer is the split representative.  A level (or the
@@ -17,7 +18,7 @@ not, and we never guess.
 from math import comb
 
 from ._record import record
-from .abgroup import FGAbelianGroup, GradedGroup, cokernel, hstack
+from .abgroup import FGAbelianGroup, GradedGroup, cokernel, hstack, split_sum
 from .koszul import (
     PARITIES,
     ModuleDatum,
@@ -207,18 +208,6 @@ class TowerReport:
         }
 
 
-def suspend_by(g: GradedGroup, shift: int) -> GradedGroup:
-    return g.suspend() if shift % 2 else g
-
-
-def assemble_final(cohomology: list[GradedGroup]) -> GradedGroup:
-    """Split representative of the final group: sum of Sigma^d h_d."""
-    total = GradedGroup()
-    for d, h in enumerate(cohomology):
-        total = total.direct_sum(suspend_by(h, d))
-    return total
-
-
 # Wordings of the torsion reasons; {parity} and {spot} are filled in per part.
 _COHOMOLOGY = "cohomology at spot {spot} ({parity} part)"
 _LEVEL_KERNEL = "kernel term at spot {spot} ({parity} part)"
@@ -251,6 +240,7 @@ def pv_tower(datum: ModuleDatum) -> TowerReport:
     spot_reasons = [[]] + [
         _torsion_reasons(cohomology[d], _COHOMOLOGY, d) for d in range(1, n + 1)
     ]
+    terms = [(h, d, 1) for d, h in enumerate(cohomology)]
 
     levels = []
     for l in range(n - 1, 0, -1):
@@ -260,7 +250,7 @@ def pv_tower(datum: ModuleDatum) -> TowerReport:
         levels.append(
             TowerLevel(
                 level=l,
-                group=assemble_final(cohomology[:top] + [ker]),
+                group=split_sum(terms[:top] + [(ker, top, 1)]),
                 ambiguous=bool(reasons),
                 reasons=tuple(reasons),
             )
@@ -270,7 +260,7 @@ def pv_tower(datum: ModuleDatum) -> TowerReport:
     return TowerReport(
         n=n,
         levels=tuple(levels),
-        final=assemble_final(cohomology),
+        final=split_sum(terms),
         ambiguous=bool(final_reasons),
         reasons=tuple(final_reasons),
         cohomology=tuple(cohomology),

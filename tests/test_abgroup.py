@@ -17,6 +17,7 @@ from pvtower.abgroup import (
     normalize_invariant_factors,
     rational_rank,
     snf,
+    split_sum,
     subquotient,
 )
 
@@ -108,17 +109,19 @@ class TestGroups:
         assert str(FGAbelianGroup.free(2)) == "Z^2"
         assert str(FGAbelianGroup(1, (2, 4))) == "Z + Z/2 + Z/4"
 
+    # Suspension is a split_sum shift: an odd shift swaps the parts.
     def test_suspend_swaps(self):
         g = GradedGroup(FGAbelianGroup.free(1), FGAbelianGroup.trivial())
-        assert g.suspend() == GradedGroup(FGAbelianGroup.trivial(), FGAbelianGroup.free(1))
+        assert split_sum([(g, 1, 1)]) == GradedGroup(FGAbelianGroup.trivial(), FGAbelianGroup.free(1))
 
     def test_suspend_involution(self):
         g = GradedGroup(FGAbelianGroup.free(2), FGAbelianGroup(0, (3,)))
-        assert g.suspend().suspend() == g
+        assert split_sum([(split_sum([(g, 1, 1)]), 1, 1)]) == g
+        assert split_sum([(g, 2, 1)]) == g
 
     def test_suspend_mixed(self):
         g = GradedGroup(FGAbelianGroup.free(2), FGAbelianGroup(0, (3,)))
-        assert g.suspend() == GradedGroup(FGAbelianGroup(0, (3,)), FGAbelianGroup.free(2))
+        assert split_sum([(g, 1, 1)]) == GradedGroup(FGAbelianGroup(0, (3,)), FGAbelianGroup.free(2))
 
 
 class TestHomology:

@@ -468,6 +468,15 @@ class TestStartup:
         assert {"pvtower.cubical", "pvtower.ring"} <= loaded
         assert not {"pvtower.abgroup", "pvtower.koszul", "fractions"} & loaded
 
+    def test_homog_loads_no_tower(self):
+        # homog sums its spot groups with abgroup.split_sum; only shape, which
+        # lists tower objects, loads tower beside liegroups.
+        loaded = self._loaded(
+            "-m", "pvtower.cli", "homog", "--series", "A", "--n", "5", "--k", "3"
+        )
+        assert "pvtower.koszul" in loaded
+        assert "pvtower.tower" not in loaded
+
     def test_package_import_loads_no_submodule(self):
         loaded = self._loaded("-c", "import pvtower")
         assert "pvtower" in loaded

@@ -5,13 +5,15 @@ with entries up to 9: on larger matrices sympy's invariant factors can
 take minutes.  The cokernel is also checked on sparse matrices of the
 sizes the datum complexes reach, through sympy's modular Hermite form, both
 as an ``IntMatrix`` and as the sparse rows the datum complexes pass it.
+``split_sum`` is checked against the invariant factors of a block-diagonal
+relation matrix.
 """
 
 import random
 
 import hypothesis.strategies as st
 from hypothesis import example, given, settings
-from sympy import QQ, ZZ, Matrix
+from sympy import QQ, ZZ, Matrix, diag
 from sympy.matrices.normalforms import (
     hermite_normal_form,
     invariant_factors,
@@ -23,12 +25,14 @@ from sympy.polys.matrices.normalforms import invariant_factors as domain_invaria
 
 from pvtower.abgroup import (
     FGAbelianGroup,
+    GradedGroup,
     IntMatrix,
     LatticeSolveError,
     cokernel,
     column_span_basis,
     kernel_rank,
     snf,
+    split_sum,
     subquotient,
 )
 
@@ -191,3 +195,31 @@ def test_subquotient_matches_sympy(pair):
     except LatticeSolveError:
         got = None
     assert got == expected
+
+
+def presentation(part) -> Matrix:
+    """Z^free + the sum of Z/o over the orders: one relation column per order."""
+    free, orders = part
+    return Matrix.vstack(Matrix.zeros(free, len(orders)), Matrix.diag(*orders))
+
+
+# A term is (even part, odd part, shift, copies); a part is (free rank, orders).
+_part = st.tuples(st.integers(0, 3), st.lists(st.integers(2, 12), max_size=3))
+_term = st.tuples(_part, _part, st.integers(0, 3), st.integers(0, 3))
+
+
+@given(st.lists(_term, max_size=6))
+@example([((1, [2]), (2, [3, 4]), 0, 0)])
+@example([((2, []), (0, [4, 6]), 1, 2), ((0, [3]), (1, [5]), 3, 1), ((1, [2]), (0, []), 0, 1)])
+def test_split_sum_matches_sympy(terms):
+    # Each part enters as sympy's group of its orders, and each parity of the
+    # sum as the block-diagonal matrix of the copies of the parts that a
+    # shift sends there: an odd shift takes a term's parts to the other parity.
+    groups = [GradedGroup(sympy_group(presentation(even)), sympy_group(presentation(odd)))
+              for even, odd, _, _ in terms]
+    got = split_sum((g, shift, copies) for g, (_, _, shift, copies) in zip(groups, terms))
+    for k, part in enumerate((got.even, got.odd)):
+        blocks = []
+        for even, odd, shift, copies in terms:
+            blocks += [presentation((even, odd)[(k + shift) % 2])] * copies
+        assert part == sympy_group(diag(*blocks))

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from sympy import Matrix
 
-from pvtower.abgroup import FGAbelianGroup, GradedGroup, IntMatrix
+from pvtower.abgroup import FGAbelianGroup, GradedGroup, IntMatrix, split_sum
 from pvtower.koszul import (
     GradedEndo,
     ModuleDatum,
@@ -20,7 +20,6 @@ from pvtower.koszul import (
     datum_spot_kernel,
 )
 from pvtower.tower import (
-    assemble_final,
     euler_characteristic,
     pv_rank1,
     pv_tower,
@@ -254,7 +253,8 @@ def test_datum_path_matches_cycle_lattice_oracle(datum, data):
     assert list(report.cohomology) == expected
     for level in report.levels:
         top = datum.n - level.level
-        assert level.group == assemble_final(expected[:top] + [kernels[top]])
+        terms = [(h, d, 1) for d, h in enumerate(expected[:top])] + [(kernels[top], top, 1)]
+        assert level.group == split_sum(terms)
 
 
 class TestTower:
