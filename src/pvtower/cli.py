@@ -2,10 +2,12 @@
 
 Subcommands: rank1, tower, koszul (datum or symbolic), homog, oracle,
 shape.  Datum-consuming commands read JSON shaped as
-``{"schema": 1, "datum": {...}}`` from stdin or a file.  Output is text
-or JSON (``--format``); JSON outputs carry a top-level ``"schema": 1``
-and are byte-identical across runs for fixed inputs.  Unknown input
-fields are rejected, never ignored.
+``{"schema": 1, "datum": {...}}`` from a file or stdin.  Each reads its
+input in its handler, after checking its flags, so ``koszul --n`` and a
+rejected command line read nothing.  Output is text or JSON
+(``--format``); JSON outputs carry a top-level ``"schema": 1`` and are
+byte-identical across runs for fixed inputs.  Unknown input fields are
+rejected, never ignored.
 
 The command line is read against one table, ``_COMMAND_LINE``, with a row
 per subcommand; ``--help`` is printed from it.  A flag is matched by its
@@ -70,9 +72,18 @@ def _unique_fields(pairs: list[tuple[str, object]]) -> dict:
     return obj
 
 
-def _load_datum(payload: bytes):
+def _load_datum(args: SimpleNamespace):
+    """The datum in the file ``args.input``, or on stdin when no path is given."""
     from .koszul import ModuleDatum
 
+    try:
+        if args.input:
+            with open(args.input, "rb") as fh:
+                payload = fh.read()
+        else:
+            payload = sys.stdin.buffer.read()
+    except OSError as exc:
+        raise InputError(str(exc)) from None
     try:
         obj = json.loads(payload.decode("utf-8"), object_pairs_hook=_unique_fields)
     except InputError:
@@ -117,11 +128,11 @@ def _mark(ok: bool) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _cmd_rank1(args: SimpleNamespace, payload: bytes) -> tuple[int, str]:
+def _cmd_rank1(args: SimpleNamespace) -> tuple[int, str]:
     from .tower import pv_rank1
 
-    result = pv_rank1(_load_datum(payload))
-    if args.output_format == "json":
+    result = pv_rank1(_load_datum(args))
+    if args.format == "json":
         out = _dump(
             {
                 "schema": SCHEMA_VERSION,
@@ -143,13 +154,13 @@ def _cmd_rank1(args: SimpleNamespace, payload: bytes) -> tuple[int, str]:
     return code, out
 
 
-def _cmd_tower(args: SimpleNamespace, payload: bytes) -> tuple[int, str]:
+def _cmd_tower(args: SimpleNamespace) -> tuple[int, str]:
     from .tower import euler_characteristic, pv_tower
 
-    datum = _load_datum(payload)
+    datum = _load_datum(args)
     report = pv_tower(datum)
     euler = euler_characteristic(list(report.cohomology))
-    if args.output_format == "json":
+    if args.format == "json":
         body = report.to_json_dict()
         body["schema"] = SCHEMA_VERSION
         body["euler"] = euler
@@ -168,7 +179,7 @@ def _cmd_tower(args: SimpleNamespace, payload: bytes) -> tuple[int, str]:
     return code, out
 
 
-def _cmd_koszul(args: SimpleNamespace, payload: bytes) -> tuple[int, str]:
+def _cmd_koszul(args: SimpleNamespace) -> tuple[int, str]:
     from .exterior import Covector
     from .koszul import (
         build_symbolic,
@@ -184,7 +195,7 @@ def _cmd_koszul(args: SimpleNamespace, payload: bytes) -> tuple[int, str]:
         cx = build_symbolic(Covector.standard(args.n))
         report = generic_rank_exactness(cx, trials=trials, seed=seed)
         aug = endpoint_augmentation_surjective(cx)
-        if args.output_format == "json":
+        if args.format == "json":
             out = _dump(
                 {
                     "schema": SCHEMA_VERSION,
@@ -219,10 +230,10 @@ def _cmd_koszul(args: SimpleNamespace, payload: bytes) -> tuple[int, str]:
     for flag in ("seed", "trials"):
         if getattr(args, flag) is not None:
             raise InputError(f"--{flag} applies only with --n")
-    datum = _load_datum(payload)
+    datum = _load_datum(args)
     groups = datum_cohomology(datum)
     euler = euler_characteristic(groups)
-    if args.output_format == "json":
+    if args.format == "json":
         out = _dump(
             {
                 "schema": SCHEMA_VERSION,
@@ -242,13 +253,13 @@ def _cmd_koszul(args: SimpleNamespace, payload: bytes) -> tuple[int, str]:
     return EXIT_OK, out
 
 
-def _cmd_homog(args: SimpleNamespace, payload: bytes) -> tuple[int, str]:
+def _cmd_homog(args: SimpleNamespace) -> tuple[int, str]:
     from .liegroups import SeriesSpec, homogeneous_ktheory
 
     big = SeriesSpec(args.series, args.n)
     small = SeriesSpec(args.series, args.k)
     result = homogeneous_ktheory(big, small)
-    if args.output_format == "json":
+    if args.format == "json":
         out = _dump(
             {
                 "schema": SCHEMA_VERSION,
@@ -273,18 +284,18 @@ def _cmd_homog(args: SimpleNamespace, payload: bytes) -> tuple[int, str]:
     return EXIT_OK, out
 
 
-def _cmd_oracle(args: SimpleNamespace, payload: bytes) -> tuple[int, str]:
+def _cmd_oracle(args: SimpleNamespace) -> tuple[int, str]:
     from .cubical import oracle_compare
 
     match = oracle_compare(args.n)
-    if args.output_format == "json":
+    if args.format == "json":
         out = _dump({"schema": SCHEMA_VERSION, "n": args.n, "match": match})
     else:
         out = f"cubical cochain matrices match contraction for n={args.n}: {match}\n"
     return EXIT_OK, out
 
 
-def _cmd_shape(args: SimpleNamespace, payload: bytes) -> tuple[int, str]:
+def _cmd_shape(args: SimpleNamespace) -> tuple[int, str]:
     from .liegroups import SeriesSpec, weyl_order
     from .tower import tower_shape
 
@@ -295,7 +306,7 @@ def _cmd_shape(args: SimpleNamespace, payload: bytes) -> tuple[int, str]:
     else:
         w = 1
     shape = tower_shape(args.n, w, dual=args.dual)
-    if args.output_format == "json":
+    if args.format == "json":
         body = shape.to_json_dict()
         body["schema"] = SCHEMA_VERSION
         out = _dump(body)
@@ -393,13 +404,11 @@ _COMMAND_LINE = {
         ),
     ),
 }
-# Attribute names the handlers read, where they differ from the flag's.
-_DEST = {"input": "input_path", "--format": "output_format"}
 
 
-def run(args: SimpleNamespace, payload: bytes) -> tuple[int, str]:
+def run(args: SimpleNamespace) -> tuple[int, str]:
     """Execute one parsed command; returns (exit code, output text)."""
-    return _COMMAND_LINE[args.command].handler(args, payload)
+    return _COMMAND_LINE[args.command].handler(args)
 
 
 class _UsageError(Exception):
@@ -553,7 +562,7 @@ def _parse(argv: list[str]) -> SimpleNamespace | None:
     return SimpleNamespace(
         command=name,
         **{
-            _DEST.get(f.name, f.name[2:]): given.get(f.name, False if f.kind is bool else None)
+            f.name.lstrip("-"): given.get(f.name, False if f.kind is bool else None)
             for f in flags.values()
         },
     )
@@ -567,21 +576,8 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_INVALID
     if args is None:  # --help was printed
         return EXIT_OK
-    payload = b""
-    # rank1, tower and koszul read a datum, except for `koszul --n`.
-    if hasattr(args, "input_path") and getattr(args, "n", None) is None:
-        if args.input_path:
-            try:
-                with open(args.input_path, "rb") as fh:
-                    payload = fh.read()
-            except OSError as exc:
-                print(f"error: {exc}", file=sys.stderr)
-                return EXIT_INVALID
-        else:
-            payload = sys.stdin.buffer.read()
-
     try:
-        code, output = run(args, payload)
+        code, output = run(args)
     except ValueError as exc:  # InputError, DatumError and every solver's input check
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID

@@ -119,18 +119,18 @@ class ModuleDatum:
         # lies in it, parity by parity.  What the tests solve for is kept as
         # ``lattice_action[parity]``: the relation basis B, the rho_i with
         # beta_i B = B rho_i, and the c_ab with [beta_a, beta_b] = B c_ab.
-        # A parity without relations only checks beta_a beta_b = beta_b beta_a.
+        # A parity without relations keeps no rho_i or c_ab and only checks
+        # beta_a beta_b = beta_b beta_a.
         lattices, actions = {}, {}
         for parity in PARITIES:
             rel = self.presentation(parity).relations
             lattices[parity] = lattice = snf(rel) if rel.cols else None
-            basis = lattice.basis if lattice else IntMatrix.zeros(rel.rows, 0)
             rhos = [
-                _coordinates(lattice, e.part(parity) @ basis,
+                _coordinates(lattice, e.part(parity) @ lattice.basis,
                              f"endos[{i}].{parity} does not preserve the relation lattice")
                 for i, e in enumerate(self.endos)
-            ]
-            actions[parity] = (basis, rhos, {})
+            ] if lattice else []
+            actions[parity] = (lattice.basis if lattice else rel, rhos, {})
         for parity in PARITIES:
             lattice = lattices[parity]
             for (i, a), (j, b) in combinations(enumerate(self.endos), 2):
@@ -149,9 +149,6 @@ class ModuleDatum:
 
     def presentation(self, parity: str) -> Presentation:
         return self.even if parity == "even" else self.odd
-
-    def group(self) -> GradedGroup:
-        return GradedGroup(self.even.group(), self.odd.group())
 
     # -- JSON wire format ----------------------------------------------
 
@@ -237,16 +234,12 @@ class ModuleDatum:
         return cls(even, odd, tuple(endos))
 
 
-def _coordinates(lattice: SmithNormalForm | None, m: IntMatrix, error: str) -> IntMatrix:
-    """X with B @ X = m for the lattice's basis B, or DatumError(error); None is the 0 lattice."""
+def _coordinates(lattice: SmithNormalForm, m: IntMatrix, error: str) -> IntMatrix:
+    """X with B @ X = m for the lattice's basis B, or DatumError(error)."""
     try:
-        if lattice is not None:
-            return lattice.span_coordinates(m)
-        if m.is_zero:
-            return IntMatrix.zeros(0, m.cols)
+        return lattice.span_coordinates(m)
     except LatticeSolveError:
-        pass
-    raise DatumError(error)
+        raise DatumError(error) from None
 
 
 # ---------------------------------------------------------------------------

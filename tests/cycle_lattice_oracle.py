@@ -47,7 +47,7 @@ def koszul_differential(datum, j, parity):
 
 def _diagonal_group(m):
     """Z^rows modulo the column span of m, from its SNF diagonal."""
-    diag = [x for x in snf(m).diagonal() if x]
+    diag = [x for x in snf(m).diag if x]
     return FGAbelianGroup.from_invariants(m.rows - len(diag), diag)
 
 

@@ -29,7 +29,7 @@ def assert_snf_contract(m: IntMatrix) -> None:
     assert (s.U @ s.D @ s.V).entries == m.entries
     assert (s.U @ s.Uinv).entries == IntMatrix.identity(m.rows).entries
     assert (s.V @ s.Vinv).entries == IntMatrix.identity(m.cols).entries
-    diag = s.diagonal()
+    diag = s.diag
     assert all(x >= 0 for x in diag)
     for a, b in zip(diag, diag[1:]):
         if a == 0:
@@ -45,17 +45,17 @@ def assert_snf_contract(m: IntMatrix) -> None:
 class TestSNF:
     def test_identity(self):
         s = snf(IntMatrix.identity(3))
-        assert s.diagonal() == (1, 1, 1)
+        assert s.diag == (1, 1, 1)
 
     def test_worked_two_by_two(self):
         # By hand: gcd of entries 2, |det| = 8, so the chain is (2, 4).
         s = snf(IntMatrix.from_rows([[2, 4], [6, 8]]))
-        assert s.diagonal() == (2, 4)
+        assert s.diag == (2, 4)
         assert_snf_contract(IntMatrix.from_rows([[2, 4], [6, 8]]))
 
     def test_zero_matrix(self):
         s = snf(IntMatrix.zeros(2, 3))
-        assert s.diagonal() == (0, 0)
+        assert s.diag == (0, 0)
 
     def test_empty_shapes(self):
         for shape in ((0, 3), (3, 0), (0, 0)):
@@ -73,7 +73,7 @@ class TestSNF:
     @settings(max_examples=40)
     def test_minors_gcd_oracle(self, m):
         # d_i = (gcd of i x i minors) / (gcd of (i-1) x (i-1) minors).
-        diag = snf(m).diagonal()
+        diag = snf(m).diag
         prev = 1
         for i in range(1, min(m.rows, m.cols) + 1):
             g = 0

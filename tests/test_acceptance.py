@@ -131,7 +131,7 @@ def test_criterion_6_property_suites():
         ok = ok and (s.U @ s.D @ s.V).entries == m.entries
         ok = ok and (s.U @ s.Uinv).entries == IntMatrix.identity(rows).entries
         ok = ok and (s.V @ s.Vinv).entries == IntMatrix.identity(cols).entries
-        diag = s.diagonal()
+        diag = s.diag
         ok = ok and all(x >= 0 for x in diag)
         for a, b in zip(diag, diag[1:]):
             ok = ok and (b == 0 if a == 0 else b % a == 0)

@@ -286,6 +286,25 @@ def test_handler_value_error_exits_2(argv, stdin_obj, message):
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["tower", "missing.json"], "[Errno 2] No such file or directory: {path!r}"),
+        (["rank1", ""], "[Errno 21] Is a directory: {path!r}"),
+        (["koszul", "missing.json", "--seed", "3"], "--seed applies only with --n"),
+    ],
+    ids=["missing-file", "directory", "koszul-flag-before-file"],
+)
+def test_datum_input_error_exits_2(tmp_path, argv, message):
+    # A datum command reads its input in its handler, after its flags are checked.
+    command, name, *flags = argv
+    path = str(tmp_path / name)
+    code, out, err = run_cli([command, path, *flags])
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {message.format(path=path)}\n"
+
+
 CHOICES = "(choose from 'rank1', 'tower', 'koszul', 'homog', 'oracle', 'shape')"
 
 

@@ -5,7 +5,8 @@ from math import comb
 import pytest
 
 from pvtower import koszul, liegroups
-from pvtower.abgroup import FGAbelianGroup, GradedGroup
+from pvtower.abgroup import FGAbelianGroup, GradedGroup, IntMatrix, split_sum
+from pvtower.koszul import GradedEndo, ModuleDatum, Presentation, datum_cohomology
 from pvtower.liegroups import SeriesSpec, homogeneous_ktheory, weyl_order
 
 from weyl_oracle import weyl_enumerate
@@ -111,3 +112,36 @@ class TestHomogeneousTower:
         for series, n in (("A", 2), ("B", 3), ("C", 4), ("D", 4)):
             group = homogeneous_ktheory(SeriesSpec(series, n), SeriesSpec(series, n - 1)).group
             assert group.even.free_rank + group.odd.free_rank == 2
+
+
+
+# Hodgkin's Tor for V_{m,2} = G_(k+1)/G_k as a datum worked by hand: even part
+# M = R(G_k)/(f_1..f_k) = Z^2, odd part 0, and beta = I - F for the one
+# operator F left.  B3/B2: M = Z[x]/(x^2 + 4x), F = [[0, 0], [2, -16]] on the
+# basis (1, x).  D4/D3: M = Z[y]/(y^2), and both half-spin operators act as 0.
+# The two spots are K^0 and K^1 of the unit tangent bundle.
+TOR_DATUMS = {
+    "B3/B2": (("B", 3, 2), [[1, 0], [-2, 17]], (FGAbelianGroup(1, (2,)), Z(1))),
+    "D4/D3": (("D", 4, 3), [[1, 0], [0, 1]], (Z(2), Z(2))),
+}
+
+
+@pytest.mark.parametrize("pair", sorted(TOR_DATUMS))
+def test_tor_datum_cohomology(pair):
+    _, beta, spots = TOR_DATUMS[pair]
+    datum = ModuleDatum(
+        Presentation.free(2),
+        Presentation.free(0),
+        (GradedEndo(IntMatrix.from_rows(beta), IntMatrix.zeros(0, 0)),),
+    )
+    groups = datum_cohomology(datum)
+    assert groups == [GradedGroup(h) for h in spots]
+    assert split_sum((h, d, 1) for d, h in enumerate(groups)) == GradedGroup(*spots)
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 1")
+@pytest.mark.parametrize("pair", sorted(TOR_DATUMS))
+def test_homogeneous_ktheory_matches_tor(pair):
+    (series, n, k), _, spots = TOR_DATUMS[pair]
+    result = homogeneous_ktheory(SeriesSpec(series, n), SeriesSpec(series, k))
+    assert result.group == GradedGroup(*spots)

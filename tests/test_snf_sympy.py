@@ -78,7 +78,7 @@ def to_sympy(m: IntMatrix) -> Matrix:
 
 @given(int_matrix_strategy(max_dim=6, max_entry=9))
 def test_snf_diagonal_matches_sympy(m):
-    diag = snf(m).diagonal()
+    diag = snf(m).diag
     sm = to_sympy(m)
     assert diag == chain(invariant_factors(sm, domain=ZZ))
     snf_matrix = smith_normal_form(sm, domain=ZZ)
