@@ -59,10 +59,6 @@ class IntMatrix:
         return cls(rows, cols, tuple(tuple(0 for _ in range(cols)) for _ in range(rows)))
 
     @classmethod
-    def column(cls, values: Sequence[int]) -> "IntMatrix":
-        return cls(len(values), 1, tuple((int(v),) for v in values))
-
-    @classmethod
     def from_sparse(cls, rows: Sequence[dict[int, int]], cols: int) -> "IntMatrix":
         """The matrix whose rows are the given {column: value} maps."""
         return cls.from_rows([[row.get(j, 0) for j in range(cols)] for row in rows], cols)

@@ -47,8 +47,8 @@ EXIT_AMBIGUOUS = 3
 _SERIES = ("A", "B", "C", "D")
 
 # Ranges of the size flags.  As `pv` processes on a 2-CPU machine
-# `koszul --n 8 --trials 64` took 0.2 s and `oracle --n 12` 0.5 s (about 2x
-# more per rank); `homog --n 64` keeps every binomial count below 2^63;
+# `koszul --n 8 --trials 64` took 0.2 s and `oracle --n 12` 0.15 s (about
+# 2x more per rank); `homog --n 64` keeps every binomial count below 2^63;
 # `homog --k` keeps the 1..8 range of `koszul --n` until homog has a measured
 # cost of its own; at its caps `shape` writes under 30 kB of JSON.
 _TRIALS = range(1, 65)

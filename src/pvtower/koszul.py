@@ -82,9 +82,6 @@ class Presentation:
     def of(cls, free_rank: int, relation_rows: list[list[int]]) -> "Presentation":
         return cls(free_rank, IntMatrix.from_rows(relation_rows, free_rank).transpose())
 
-    def group(self) -> FGAbelianGroup:
-        return cokernel(self.relations)
-
 
 @record
 class GradedEndo:

@@ -17,6 +17,7 @@ from pvtower.abgroup import (
     FGAbelianGroup,
     GradedGroup,
     IntMatrix,
+    cokernel,
     column_span_basis,
     hstack,
     kernel_basis,
@@ -138,6 +139,6 @@ def iterate_rank1(datum: ModuleDatum, order: list[int] | None = None) -> PVResul
         presentations, endos, reasons = _step_rank1(presentations, endos, live)
         all_reasons.extend(f"step {step_no + 1}: {r}" for r in reasons)
     group = GradedGroup(
-        presentations["even"].group(), presentations["odd"].group()
+        cokernel(presentations["even"].relations), cokernel(presentations["odd"].relations)
     )
     return PVResult(group, bool(all_reasons), tuple(all_reasons))

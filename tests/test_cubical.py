@@ -1,10 +1,11 @@
 """Cubical face combinatorics and the cochain-vs-contraction comparison."""
 
 from math import comb
+from operator import add
 
 import pytest
 
-from pvtower import cubical, exterior
+from pvtower import cli, cubical, exterior
 from pvtower.abgroup import FGAbelianGroup, IntMatrix
 from pvtower.cubical import (
     cellular_differential,
@@ -12,7 +13,6 @@ from pvtower.cubical import (
     face_boundary,
     oracle_compare,
 )
-from pvtower.ring import PolyMatrix, one_minus_var
 
 from conftest import homology
 
@@ -46,65 +46,77 @@ class TestFaces:
 class TestFaceBoundary:
     def test_orientation_rule(self):
         # Dropping the p-th free coordinate carries the sign (-1)^(p-1); each
-        # dropped coordinate gives the face at 0 and its translate at 1.
-        assert face_boundary((1, 3)) == [
-            ((3,), 1, 1, False),
-            ((3,), 1, 1, True),
-            ((1,), 3, -1, False),
-            ((1,), 3, -1, True),
-        ]
-        assert [(part.face, part.sign) for part in face_boundary((1, 2, 4))][::2] == [
-            ((2, 4), 1),
-            ((1, 4), -1),
-            ((1, 2), 1),
-        ]
+        # triple stands for the face at 0 and its translate at 1.
+        assert face_boundary((1, 3)) == [((3,), 1, 1), ((1,), 3, -1)]
+        assert face_boundary((1, 2, 4)) == [((2, 4), 1, 1), ((1, 4), 2, -1), ((1, 2), 4, 1)]
         assert face_boundary(()) == []
+
+
+def _compose(a, b):
+    """Product of two matrices of term maps {(row, col): {exponents: coefficient}}."""
+    out = {}
+    for (r, k), p in a.items():
+        for (k2, c), q in b.items():
+            if k != k2:
+                continue
+            terms = out.setdefault((r, c), {})
+            for e, x in p.items():
+                for f, y in q.items():
+                    g = tuple(map(add, e, f))
+                    terms[g] = terms.get(g, 0) + x * y
+    return out
 
 
 class TestCellularDifferential:
     def test_rank_one(self):
-        m = cellular_differential(1, 1)
-        assert (m.rows, m.cols) == (1, 1)
-        assert m.entry(0, 0) == one_minus_var(1, 1)
+        # 1 - t1
+        assert cellular_differential(1, 1) == {(0, 0): {(0,): 1, (1,): -1}}
 
     def test_square_boundary_column(self):
         # Enumerating the four boundary edges of the square and their deck
-        # translations gives ((1 - t1), -(1 - t2)) up to diagonal signs.
-        m = cellular_differential(2, 2)
-        assert (m.rows, m.cols) == (2, 1)
-        a = m.entry(0, 0)
-        b = m.entry(1, 0)
-        assert a in (-one_minus_var(2, 2), one_minus_var(2, 2))
-        assert b in (one_minus_var(1, 2), -one_minus_var(1, 2))
+        # translations gives -(1 - t2) on the edge (1,) and 1 - t1 on (2,).
+        assert cellular_differential(2, 2) == {
+            (0, 0): {(0, 0): -1, (0, 1): 1},
+            (1, 0): {(0, 0): 1, (1, 0): -1},
+        }
 
     def test_complex_closes(self):
         for n in range(1, 5):
             for d in range(2, n + 1):
-                prod = cellular_differential(n, d - 1) @ cellular_differential(n, d)
-                assert prod.is_zero
+                prod = _compose(cellular_differential(n, d - 1), cellular_differential(n, d))
+                assert all(x == 0 for terms in prod.values() for x in terms.values())
 
 
 def _tampered(change):
-    """koszul_matrix with ``change`` applied to the entries of d_2."""
+    """contraction_terms with ``change(j, terms)`` applied to each degree's term list."""
 
-    def build(v, j):
-        m = exterior.koszul_matrix(v, j)
-        if j != 2:
-            return m
-        entries = dict(m.entries)
-        change(entries)
-        return PolyMatrix(m.rows, m.cols, m.nvars, entries)
+    def terms(n, j):
+        return change(j, list(exterior.contraction_terms(n, j)))
 
-    return build
+    return terms
 
 
-def _drop_first(entries):
-    del entries[next(iter(entries))]
+def _scale_first(factor):
+    def change(j, terms):
+        if j == 2:
+            r, c, s, sign = terms[0]
+            terms[0] = (r, c, s, factor * sign)
+        return terms
+
+    return change
 
 
-def _double_first(entries):
-    key = next(iter(entries))
-    entries[key] = 2 * entries[key]
+def _drop_first(j, terms):
+    return terms[1:] if j == 2 else terms
+
+
+def _flip_basis_element(j, terms):
+    # Negating the first spot-2 basis element negates column 0 of d_2 and
+    # row 0 of d_3.
+    return [
+        (r, c, s, -sign if (j, c) == (2, 0) or (j, r) == (3, 0) else sign)
+        for r, c, s, sign in terms
+    ]
 
 
 class TestOracle:
@@ -112,16 +124,25 @@ class TestOracle:
         for n in range(1, 5):
             assert oracle_compare(n)
 
-    def test_matches_contraction_up_to_rank_ten(self):
-        for n in range(5, 11):
+    def test_matches_contraction_up_to_cli_cap(self):
+        for n in range(5, cli._ORACLE_N.stop):
             assert oracle_compare(n)
 
-    @pytest.mark.parametrize("change", [_drop_first, _double_first], ids=["missing", "doubled"])
+    @pytest.mark.parametrize(
+        "change",
+        [_drop_first, _scale_first(2), _scale_first(-1)],
+        ids=["missing", "doubled", "lone_flip"],
+    )
     def test_tampered_contraction_rejected(self, monkeypatch, change):
         # A missing entry is nonzero only in the cellular matrix; a doubled one
-        # differs from its cellular entry by more than a sign.
-        monkeypatch.setattr(cubical, "koszul_matrix", _tampered(change))
+        # differs from its cellular entry by more than a sign; one flipped
+        # entry of d_2 disagrees with the other entry of its column.
+        monkeypatch.setattr(cubical, "contraction_terms", _tampered(change))
         assert not oracle_compare(3)
+
+    def test_diagonal_sign_change_accepted(self, monkeypatch):
+        monkeypatch.setattr(cubical, "contraction_terms", _tampered(_flip_basis_element))
+        assert oracle_compare(3)
 
     def test_rank_validation(self):
         with pytest.raises(ValueError):
@@ -134,10 +155,13 @@ def test_all_ones_specialization_gives_torus_homology():
     for n in range(1, 5):
         mats = []
         for d in range(1, n + 1):
-            evaluated = cellular_differential(n, d).evaluate([1] * n)
-            cols = comb(n, d)
+            m = cellular_differential(n, d)
+            rows, cols = comb(n, d - 1), comb(n, d)
             mats.append(
-                IntMatrix.from_rows([[row.get(c, 0) for c in range(cols)] for row in evaluated], cols)
+                IntMatrix.from_rows(
+                    [[sum(m.get((r, c), {}).values()) for c in range(cols)] for r in range(rows)],
+                    cols,
+                )
             )
         for d in range(n + 1):
             d_out = mats[d - 1] if d >= 1 else IntMatrix.zeros(0, 1)

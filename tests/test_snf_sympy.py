@@ -186,7 +186,7 @@ def lattice_pairs(draw):
 
 @given(lattice_pairs())
 @example((IntMatrix.zeros(2, 2), IntMatrix.zeros(2, 1)))
-@example((IntMatrix.zeros(2, 2), IntMatrix.column([1, 0])))
+@example((IntMatrix.zeros(2, 2), IntMatrix.from_rows([[1], [0]])))
 def test_subquotient_matches_sympy(pair):
     num, den = pair
     expected = sympy_subquotient(to_sympy(num), to_sympy(den))
