@@ -107,10 +107,6 @@ class IntMatrix:
             tuple(tuple(self.entries[i][j] for i in range(self.rows)) for j in range(self.cols)),
         )
 
-    @property
-    def is_zero(self) -> bool:
-        return all(x == 0 for row in self.entries for x in row)
-
     def take_rows(self, start: int, stop: int) -> "IntMatrix":
         return IntMatrix(stop - start, self.cols, self.entries[start:stop])
 
@@ -535,9 +531,6 @@ class GradedGroup:
     @property
     def is_trivial(self) -> bool:
         return self.even.is_trivial and self.odd.is_trivial
-
-    def to_dict(self) -> dict[str, str]:
-        return {"even": str(self.even), "odd": str(self.odd)}
 
     def __str__(self) -> str:
         return f"(even: {self.even}, odd: {self.odd})"

@@ -4,10 +4,13 @@ Subcommands: rank1, tower, koszul (datum or symbolic), homog, oracle,
 shape.  Datum-consuming commands read JSON shaped as
 ``{"schema": 1, "datum": {...}}`` from a file or stdin.  Each reads its
 input in its handler, after checking its flags, so ``koszul --n`` and a
-rejected command line read nothing.  Output is text or JSON
-(``--format``); JSON outputs carry a top-level ``"schema": 1`` and are
-byte-identical across runs for fixed inputs.  Unknown input fields are
-rejected, never ignored.
+rejected command line read nothing.  Unknown input fields are rejected,
+never ignored.
+
+Each handler returns ``(ambiguous, body, lines)``: its ambiguity flag, its
+JSON object and its text lines.  :func:`run` alone renders them, as text or
+as JSON with a top-level ``"schema": 1`` (``--format``), byte-identical
+across runs for fixed inputs, and alone decides the exit code.
 
 The command line is read against one table, ``_COMMAND_LINE``, with a row
 per subcommand; ``--help`` is printed from it.  A flag is matched by its
@@ -104,82 +107,86 @@ def _load_datum(args: SimpleNamespace):
     return ModuleDatum.from_json_dict(obj["datum"])
 
 
-def _dump(obj: dict) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
-
-
-def _use_color() -> bool:
-    mode = os.environ.get("PV_COLOR", "auto")
-    if mode == "never":
-        return False
-    return sys.stdout.isatty()
-
-
 def _mark(ok: bool) -> str:
     text = "ok" if ok else "AMBIGUOUS"
-    if _use_color():
-        code = "32" if ok else "33"
-        return f"\x1b[{code}m{text}\x1b[0m"
+    if os.environ.get("PV_COLOR", "auto") != "never" and sys.stdout.isatty():
+        return f"\x1b[{32 if ok else 33}m{text}\x1b[0m"
     return text
 
 
+def _group(g) -> dict:
+    """A graded group as schema 1 writes it."""
+    return {"even": str(g.even), "odd": str(g.odd)}
+
+
+def _spots(groups) -> list[dict]:
+    """Cohomology groups, one entry per spot, as schema 1 writes them."""
+    return [{"spot": d, **_group(g)} for d, g in enumerate(groups)]
+
+
+def _extensions(ambiguous: bool, reasons: tuple[str, ...]) -> list[str]:
+    return [f"extensions: {_mark(not ambiguous)}", *(f"  {r}" for r in reasons)]
+
+
 # ---------------------------------------------------------------------------
-# Command implementations: each returns (exit_code, output_text)
+# Command implementations: each returns (ambiguous, JSON body, text lines)
 # ---------------------------------------------------------------------------
 
 
-def _cmd_rank1(args: SimpleNamespace) -> tuple[int, str]:
+def _cmd_rank1(args: SimpleNamespace) -> tuple[bool, dict, list[str]]:
     from .tower import pv_rank1
 
     result = pv_rank1(_load_datum(args))
-    if args.format == "json":
-        out = _dump(
-            {
-                "schema": SCHEMA_VERSION,
-                "K0": str(result.group.even),
-                "K1": str(result.group.odd),
-                "ambiguous": result.ambiguous,
-                "reasons": list(result.reasons),
-            }
-        )
-    else:
-        lines = [
-            f"K0 = {result.group.even}",
-            f"K1 = {result.group.odd}",
-            f"extensions: {_mark(not result.ambiguous)}",
-        ]
-        lines += [f"  {r}" for r in result.reasons]
-        out = "\n".join(lines) + "\n"
-    code = EXIT_AMBIGUOUS if (args.strict and result.ambiguous) else EXIT_OK
-    return code, out
+    body = {
+        "K0": str(result.group.even),
+        "K1": str(result.group.odd),
+        "ambiguous": result.ambiguous,
+        "reasons": list(result.reasons),
+    }
+    lines = [
+        f"K0 = {result.group.even}",
+        f"K1 = {result.group.odd}",
+        *_extensions(result.ambiguous, result.reasons),
+    ]
+    return result.ambiguous, body, lines
 
 
-def _cmd_tower(args: SimpleNamespace) -> tuple[int, str]:
+def _cmd_tower(args: SimpleNamespace) -> tuple[bool, dict, list[str]]:
     from .tower import euler_characteristic, pv_tower
 
-    datum = _load_datum(args)
-    report = pv_tower(datum)
-    euler = euler_characteristic(list(report.cohomology))
-    if args.format == "json":
-        body = report.to_json_dict()
-        body["schema"] = SCHEMA_VERSION
-        body["euler"] = euler
-        out = _dump(body)
-    else:
-        lines = [f"rank n = {report.n}", f"final = {report.final}"]
-        for lvl in report.levels:
-            lines.append(
-                f"level {lvl.level}: {lvl.group}  [{_mark(not lvl.ambiguous)}]"
-            )
-        lines.append(f"euler characteristic = {euler}")
-        lines.append(f"extensions: {_mark(not report.ambiguous)}")
-        lines += [f"  {r}" for r in report.reasons]
-        out = "\n".join(lines) + "\n"
-    code = EXIT_AMBIGUOUS if (args.strict and report.ambiguous) else EXIT_OK
-    return code, out
+    report = pv_tower(_load_datum(args))
+    euler = euler_characteristic(report.cohomology)
+    body = {
+        "n": report.n,
+        "final": _group(report.final),
+        "ambiguous": report.ambiguous,
+        "reasons": list(report.reasons),
+        "levels": [
+            {
+                "level": lvl.level,
+                "group": _group(lvl.group),
+                "ambiguous": lvl.ambiguous,
+                "reasons": list(lvl.reasons),
+                # Schema 1 pins these keys; no tower computed here fills them.
+                "kernel_module_rank": None,
+                "kernel_suspension": None,
+            }
+            for lvl in report.levels
+        ],
+        "cohomology": _spots(report.cohomology),
+        "euler": euler,
+    }
+    lines = [
+        f"rank n = {report.n}",
+        f"final = {report.final}",
+        *(f"level {lvl.level}: {lvl.group}  [{_mark(not lvl.ambiguous)}]" for lvl in report.levels),
+        f"euler characteristic = {euler}",
+        *_extensions(report.ambiguous, report.reasons),
+    ]
+    return report.ambiguous, body, lines
 
 
-def _cmd_koszul(args: SimpleNamespace) -> tuple[int, str]:
+def _cmd_koszul(args: SimpleNamespace) -> tuple[bool, dict, list[str]]:
     from .exterior import Covector
     from .koszul import (
         build_symbolic,
@@ -195,35 +202,31 @@ def _cmd_koszul(args: SimpleNamespace) -> tuple[int, str]:
         cx = build_symbolic(Covector.standard(args.n))
         report = generic_rank_exactness(cx, trials=trials, seed=seed)
         aug = endpoint_augmentation_surjective(cx)
-        if args.format == "json":
-            out = _dump(
+        body = {
+            "n": args.n,
+            "trials": trials,
+            "seed": seed,
+            "spots": [
                 {
-                    "schema": SCHEMA_VERSION,
-                    "n": args.n,
-                    "trials": trials,
-                    "seed": seed,
-                    "spots": [
-                        {
-                            "spot": s.spot,
-                            "module_rank": s.module_rank,
-                            "observed_rank": s.observed_rank,
-                            "consistent": s.consistent,
-                        }
-                        for s in report.spots
-                    ],
-                    "augmentation_onto_Z": aug,
+                    "spot": s.spot,
+                    "module_rank": s.module_rank,
+                    "observed_rank": s.observed_rank,
+                    "consistent": s.consistent,
                 }
-            )
-        else:
-            lines = [f"regular covector, rank {args.n}"]
-            for s in report.spots:
-                lines.append(
-                    f"spot {s.spot}: module rank {s.module_rank}, observed rank "
-                    f"{s.observed_rank}, consistent={s.consistent}"
-                )
-            lines.append(f"endpoint augmentation onto Z: {aug}")
-            out = "\n".join(lines) + "\n"
-        return EXIT_OK, out
+                for s in report.spots
+            ],
+            "augmentation_onto_Z": aug,
+        }
+        lines = [
+            f"regular covector, rank {args.n}",
+            *(
+                f"spot {s.spot}: module rank {s.module_rank}, observed rank "
+                f"{s.observed_rank}, consistent={s.consistent}"
+                for s in report.spots
+            ),
+            f"endpoint augmentation onto Z: {aug}",
+        ]
+        return False, body, lines
 
     from .tower import euler_characteristic
 
@@ -233,92 +236,83 @@ def _cmd_koszul(args: SimpleNamespace) -> tuple[int, str]:
     datum = _load_datum(args)
     groups = datum_cohomology(datum)
     euler = euler_characteristic(groups)
-    if args.format == "json":
-        out = _dump(
-            {
-                "schema": SCHEMA_VERSION,
-                "n": datum.n,
-                "cohomology": [
-                    {"spot": d, **g.to_dict()} for d, g in enumerate(groups)
-                ],
-                "euler": euler,
-            }
-        )
-    else:
-        lines = [f"rank n = {datum.n}"]
-        for d, g in enumerate(groups):
-            lines.append(f"H at spot {d}: {g}")
-        lines.append(f"euler characteristic = {euler}")
-        out = "\n".join(lines) + "\n"
-    return EXIT_OK, out
+    body = {
+        "n": datum.n,
+        "cohomology": _spots(groups),
+        "euler": euler,
+    }
+    lines = [
+        f"rank n = {datum.n}",
+        *(f"H at spot {d}: {g}" for d, g in enumerate(groups)),
+        f"euler characteristic = {euler}",
+    ]
+    return False, body, lines
 
 
-def _cmd_homog(args: SimpleNamespace) -> tuple[int, str]:
+def _cmd_homog(args: SimpleNamespace) -> tuple[bool, dict, list[str]]:
     from .liegroups import SeriesSpec, homogeneous_ktheory
 
     big = SeriesSpec(args.series, args.n)
     small = SeriesSpec(args.series, args.k)
     result = homogeneous_ktheory(big, small)
-    if args.format == "json":
-        out = _dump(
-            {
-                "schema": SCHEMA_VERSION,
-                "series": args.series,
-                "n": args.n,
-                "k": args.k,
-                "even": str(result.group.even),
-                "odd": str(result.group.odd),
-                "spot_ranks": list(result.spot_ranks),
-                # Schema-1 key: the regular part is exact by theorem.
-                "witnessed": True,
-            }
-        )
-    else:
-        lines = [
-            f"K-theory of {big}/{small}:",
-            f"  even = {result.group.even}",
-            f"  odd  = {result.group.odd}",
-            f"  nonzero spot ranks: {list(result.nonzero_ranks)}",
-        ]
-        out = "\n".join(lines) + "\n"
-    return EXIT_OK, out
+    body = {
+        "series": args.series,
+        "n": args.n,
+        "k": args.k,
+        "even": str(result.group.even),
+        "odd": str(result.group.odd),
+        "spot_ranks": list(result.spot_ranks),
+        # Schema-1 key: the regular part is exact by theorem.
+        "witnessed": True,
+    }
+    lines = [
+        f"K-theory of {big}/{small}:",
+        f"  even = {result.group.even}",
+        f"  odd  = {result.group.odd}",
+        f"  nonzero spot ranks: {list(result.nonzero_ranks)}",
+    ]
+    return False, body, lines
 
 
-def _cmd_oracle(args: SimpleNamespace) -> tuple[int, str]:
+def _cmd_oracle(args: SimpleNamespace) -> tuple[bool, dict, list[str]]:
     from .cubical import oracle_compare
 
     match = oracle_compare(args.n)
-    if args.format == "json":
-        out = _dump({"schema": SCHEMA_VERSION, "n": args.n, "match": match})
-    else:
-        out = f"cubical cochain matrices match contraction for n={args.n}: {match}\n"
-    return EXIT_OK, out
+    text = f"cubical cochain matrices match contraction for n={args.n}: {match}"
+    return False, {"n": args.n, "match": match}, [text]
 
 
-def _cmd_shape(args: SimpleNamespace) -> tuple[int, str]:
+def _cmd_shape(args: SimpleNamespace) -> tuple[bool, dict, list[str]]:
     from .liegroups import SeriesSpec, weyl_order
     from .tower import tower_shape
 
-    if args.w is not None:
-        w = args.w
-    elif args.series is not None:
+    if args.series is not None:
         w = weyl_order(SeriesSpec(args.series, args.n))
     else:
-        w = 1
+        w = 1 if args.w is None else args.w
     shape = tower_shape(args.n, w, dual=args.dual)
-    if args.format == "json":
-        body = shape.to_json_dict()
-        body["schema"] = SCHEMA_VERSION
-        out = _dump(body)
-    else:
-        lines = [f"tower shape: n={shape.n}, w={shape.w}, dual={shape.dual}"]
-        for obj in shape.objects:
-            lines.append(
-                f"  [{obj.kind}] suspension {obj.suspension}, multiplicity "
-                f"{obj.multiplicity}: {obj.label}"
-            )
-        out = "\n".join(lines) + "\n"
-    return EXIT_OK, out
+    body = {
+        "n": shape.n,
+        "w": shape.w,
+        "dual": shape.dual,
+        "objects": [
+            {
+                "kind": obj.kind,
+                "suspension": obj.suspension,
+                "multiplicity": obj.multiplicity,
+                "label": obj.label,
+            }
+            for obj in shape.objects
+        ],
+    }
+    lines = [
+        f"tower shape: n={shape.n}, w={shape.w}, dual={shape.dual}",
+        *(
+            f"  [{o.kind}] suspension {o.suspension}, multiplicity {o.multiplicity}: {o.label}"
+            for o in shape.objects
+        ),
+    ]
+    return False, body, lines
 
 
 # ---------------------------------------------------------------------------
@@ -407,8 +401,13 @@ _COMMAND_LINE = {
 
 
 def run(args: SimpleNamespace) -> tuple[int, str]:
-    """Execute one parsed command; returns (exit code, output text)."""
-    return _COMMAND_LINE[args.command].handler(args)
+    """Execute one parsed command and render its result; returns (exit code, output text)."""
+    ambiguous, body, lines = _COMMAND_LINE[args.command].handler(args)
+    if args.format == "json":
+        body["schema"] = SCHEMA_VERSION
+        lines = [json.dumps(body, sort_keys=True, separators=(",", ":"))]
+    code = EXIT_AMBIGUOUS if ambiguous and getattr(args, "strict", False) else EXIT_OK
+    return code, "\n".join(lines) + "\n"
 
 
 class _UsageError(Exception):

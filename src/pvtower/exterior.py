@@ -14,14 +14,15 @@ from itertools import combinations
 from math import comb
 
 from ._record import record
-from .ring import LaurentPoly, PolyMatrix, one_minus_var
+
+# Ring types are imported where they are built: `pv oracle` never loads the ring.
 
 
 @record
 class Covector:
     """An element of Hom(Z^n (x) R, R): entries[i] is the coefficient of e_{i+1}*."""
 
-    entries: tuple[LaurentPoly, ...]
+    entries: "tuple[LaurentPoly, ...]"
     nvars: int
 
     def __post_init__(self) -> None:
@@ -34,18 +35,20 @@ class Covector:
     @classmethod
     def standard(cls, n: int) -> "Covector":
         """(1 - t_1, ..., 1 - t_n) over the rank-n Laurent ring."""
+        from .ring import one_minus_var
+
         return cls(tuple(one_minus_var(i, n) for i in range(1, n + 1)), n)
 
     @property
     def n(self) -> int:
         return len(self.entries)
 
-    def entry(self, i: int) -> LaurentPoly:
+    def entry(self, i: int) -> "LaurentPoly":
         """Coefficient of e_i*, i in 1..n."""
         return self.entries[i - 1]
 
     @cached_property
-    def negated(self) -> tuple[LaurentPoly, ...]:
+    def negated(self) -> "tuple[LaurentPoly, ...]":
         """The entries negated, built once for the matrices of every degree."""
         return tuple(-p for p in self.entries)
 
@@ -68,11 +71,13 @@ def contraction_terms(n: int, j: int) -> Iterator[tuple[int, int, int, int]]:
     )
 
 
-def koszul_matrix(v: Covector, j: int) -> PolyMatrix:
+def koszul_matrix(v: Covector, j: int) -> "PolyMatrix":
     """Matrix of contraction wedge^j -> wedge^(j-1) in the fixed basis order.
 
     Shape is C(n, j-1) x C(n, j); a zero covector entry stores nothing.
     """
+    from .ring import PolyMatrix
+
     signed = {1: v.entries, -1: v.negated}
     entries = {
         (r, c): signed[sign][s - 1]

@@ -60,7 +60,7 @@ class Presentation:
 
     Each column of ``relations`` is one relation, the form every lattice
     routine reads.  The JSON wire format lists relations as rows; only
-    :meth:`of` and the ``ModuleDatum`` JSON methods convert between the two.
+    :meth:`of` and :meth:`ModuleDatum.from_json_dict` convert between the two.
     """
 
     free_rank: int
@@ -148,26 +148,6 @@ class ModuleDatum:
         return self.even if parity == "even" else self.odd
 
     # -- JSON wire format ----------------------------------------------
-
-    def to_json_dict(self) -> dict:
-        def pres(p: Presentation) -> dict:
-            return {
-                "free_rank": p.free_rank,
-                "relations": [list(row) for row in p.relations.transpose().entries],
-            }
-
-        return {
-            "n": self.n,
-            "even": pres(self.even),
-            "odd": pres(self.odd),
-            "endos": [
-                {
-                    "even": [list(r) for r in e.even.entries],
-                    "odd": [list(r) for r in e.odd.entries],
-                }
-                for e in self.endos
-            ],
-        }
 
     @classmethod
     def from_json_dict(cls, obj: dict) -> "ModuleDatum":

@@ -51,22 +51,6 @@ class TowerShape:
     def coefficient_multiplicities(self) -> list[int]:
         return [o.multiplicity for o in self.objects if o.kind == "trivial-coefficient"]
 
-    def to_json_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "w": self.w,
-            "dual": self.dual,
-            "objects": [
-                {
-                    "kind": o.kind,
-                    "suspension": o.suspension,
-                    "multiplicity": o.multiplicity,
-                    "label": o.label,
-                }
-                for o in self.objects
-            ],
-        }
-
 
 def tower_shape(n: int, w: int, dual: bool = False) -> TowerShape:
     """Objects of the rank-n tower with Weyl multiplicity w.
@@ -174,17 +158,6 @@ class TowerLevel:
     ambiguous: bool
     reasons: tuple[str, ...] = ()
 
-    def to_json_dict(self) -> dict:
-        return {
-            "level": self.level,
-            "group": self.group.to_dict(),
-            "ambiguous": self.ambiguous,
-            "reasons": list(self.reasons),
-            # Schema 1 pins these keys; no tower computed here fills them.
-            "kernel_module_rank": None,
-            "kernel_suspension": None,
-        }
-
 
 @record
 class TowerReport:
@@ -194,18 +167,6 @@ class TowerReport:
     ambiguous: bool
     reasons: tuple[str, ...] = ()
     cohomology: tuple[GradedGroup, ...] = ()
-
-    def to_json_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "final": self.final.to_dict(),
-            "ambiguous": self.ambiguous,
-            "reasons": list(self.reasons),
-            "levels": [lvl.to_json_dict() for lvl in self.levels],
-            "cohomology": [
-                {"spot": d, **g.to_dict()} for d, g in enumerate(self.cohomology)
-            ],
-        }
 
 
 # Wordings of the torsion reasons; {parity} and {spot} are filled in per part.

@@ -483,9 +483,11 @@ class TestStartup:
         assert not {"argparse", "gettext"} & loaded
 
     def test_oracle_loads_no_snf_layer(self):
+        # The cubical oracle reads exterior.contraction_terms only: neither the
+        # Smith-normal-form layer nor the Laurent ring.
         loaded = self._loaded("-m", "pvtower.cli", "oracle", "--n", "1", "--format", "json")
-        assert {"pvtower.cubical", "pvtower.ring"} <= loaded
-        assert not {"pvtower.abgroup", "pvtower.koszul", "fractions"} & loaded
+        assert {"pvtower.cubical", "pvtower.exterior"} <= loaded
+        assert not {"pvtower.abgroup", "pvtower.koszul", "pvtower.ring", "fractions"} & loaded
 
     def test_homog_loads_no_tower(self):
         # homog sums its spot groups with abgroup.split_sum; only shape, which
@@ -619,7 +621,16 @@ class TestTowerCommand:
         assert parsed["schema"] == 1
         assert parsed["final"] == {"even": "Z^2", "odd": "Z^2"}
         assert parsed["euler"] == 0
+        assert parsed["reasons"] == []
         assert parsed["levels"][0]["level"] == 1
+        assert set(parsed["levels"][0]) == {
+            "level",
+            "group",
+            "ambiguous",
+            "reasons",
+            "kernel_module_rank",
+            "kernel_suspension",
+        }
         for entry in parsed["cohomology"]:
             assert set(entry) == {"spot", "even", "odd"}
 

@@ -1,10 +1,12 @@
-"""Golden corpus: fixed CLI invocations whose JSON output must stay byte-identical.
+"""Golden corpus: fixed CLI invocations whose output must stay byte-identical.
 
-Each case runs twice: through ``cli.main`` in-process, and as a
-``python -m pvtower.cli`` process, the path the benchmark times.  A case
-named NAME reads stdin from ``golden/NAME.in.json`` when that file exists
-and compares stdout with ``golden/NAME.out.json``.  After a change that is
-meant to alter outputs, rewrite the expected files with
+Each case runs in both formats, and each of those twice: through
+``cli.main`` in-process, and as a ``python -m pvtower.cli`` process, the
+path the benchmark times.  A case named NAME reads stdin from
+``golden/NAME.in.json`` when that file exists and compares stdout with
+``golden/NAME.out.json`` (``--format json``) and ``golden/NAME.out.txt``
+(text, the default).  After a change that is meant to alter outputs,
+rewrite the expected files with
 ``PYTHONPATH=src python tests/test_golden.py --write`` and explain the
 difference in CHANGES.md.
 """
@@ -20,7 +22,8 @@ import pytest
 from pvtower import cli
 
 GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
-JSON = ("--format", "json")
+# Output file suffix -> the flags that select that format.
+FORMATS = {"json": ("--format", "json"), "txt": ()}
 
 CASES = {
     # README examples.
@@ -63,49 +66,86 @@ def read_input(name: str) -> bytes:
         return fh.read()
 
 
-def run_case(name: str) -> tuple[int, str]:
+def run_case(name: str, fmt: str = "json") -> tuple[int, str]:
     saved = sys.stdin
     sys.stdin = io.TextIOWrapper(io.BytesIO(read_input(name)))
     out = io.StringIO()
     try:
         with contextlib.redirect_stdout(out):
-            code = cli.main([*CASES[name], *JSON])
+            code = cli.main([*CASES[name], *FORMATS[fmt]])
     finally:
         sys.stdin = saved
     return code, out.getvalue()
 
 
-def expected_path(name: str) -> str:
-    return os.path.join(GOLDEN, f"{name}.out.json")
+def run_process(name: str, fmt: str, *extra: str) -> subprocess.CompletedProcess:
+    return subprocess.run(
+        [sys.executable, "-m", "pvtower.cli", *CASES[name], *FORMATS[fmt], *extra],
+        input=read_input(name),
+        capture_output=True,
+    )
+
+
+def expected_path(name: str, fmt: str = "json") -> str:
+    return os.path.join(GOLDEN, f"{name}.out.{fmt}")
+
+
+def expected(name: str, fmt: str) -> bytes:
+    with open(expected_path(name, fmt), "rb") as fh:
+        return fh.read()
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_golden_output(name):
     code, out = run_case(name)
     assert code == 0
-    with open(expected_path(name), encoding="utf-8") as fh:
-        assert out == fh.read()
+    assert out.encode() == expected(name, "json")
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_golden_output_as_process(name):
-    proc = subprocess.run(
-        [sys.executable, "-m", "pvtower.cli", *CASES[name], *JSON],
-        input=read_input(name),
-        capture_output=True,
-    )
+    proc = run_process(name, "json")
     assert proc.returncode == 0, proc.stderr.decode()
-    with open(expected_path(name), "rb") as fh:
-        assert proc.stdout == fh.read()
+    assert proc.stdout == expected(name, "json")
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_golden_text(name):
+    code, out = run_case(name, "txt")
+    assert code == 0
+    assert out.encode() == expected(name, "txt")
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_golden_text_as_process(name):
+    proc = run_process(name, "txt")
+    assert proc.returncode == 0, proc.stderr.decode()
+    assert proc.stdout == expected(name, "txt")
+
+
+@pytest.mark.parametrize("fmt", sorted(FORMATS))
+def test_strict_tower_flagged_exits_3(fmt):
+    # tower_noncommuting_mod2 is flagged at spots 1 and 2: --strict changes
+    # the exit code and nothing else.
+    proc = run_process("tower_noncommuting_mod2", fmt, "--strict")
+    assert (proc.returncode, proc.stderr) == (3, b"")
+    assert proc.stdout == expected("tower_noncommuting_mod2", fmt)
+
+
+def test_strict_tower_unflagged_exits_0():
+    proc = run_process("tower_torus_n4", "json", "--strict")
+    assert (proc.returncode, proc.stderr) == (0, b"")
+    assert proc.stdout == expected("tower_torus_n4", "json")
 
 
 if __name__ == "__main__":
     if sys.argv[1:] != ["--write"]:
         sys.exit("usage: PYTHONPATH=src python tests/test_golden.py --write")
     for name in sorted(CASES):
-        code, out = run_case(name)
-        if code != 0:
-            sys.exit(f"{name}: exit {code}")
-        with open(expected_path(name), "w", encoding="utf-8") as fh:
-            fh.write(out)
-        print(f"wrote {expected_path(name)}")
+        for fmt in FORMATS:
+            code, out = run_case(name, fmt)
+            if code != 0:
+                sys.exit(f"{name}: exit {code}")
+            with open(expected_path(name, fmt), "w", encoding="utf-8") as fh:
+                fh.write(out)
+            print(f"wrote {expected_path(name, fmt)}")

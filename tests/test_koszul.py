@@ -84,14 +84,14 @@ class TestSymbolic:
             cx = build_datum(free_datum(1, 0, [([[i + 1]], []) for i in range(1, n + 1)]))
             for j in range(1, n):
                 prod = cx.differential(j, "even") @ cx.differential(j + 1, "even")
-                assert prod.is_zero, (n, j)
+                assert prod == IntMatrix.zeros(prod.rows, prod.cols), (n, j)
 
 
 class TestDatum:
     def test_identity_action_rank_one(self):
         datum = free_datum(1, 0, [([[1]], [])])
         cx = build_datum(datum)
-        assert cx.differential(1, "even").is_zero
+        assert cx.differential(1, "even") == IntMatrix.zeros(1, 1)
 
     def test_negation_action_gives_two(self):
         datum = free_datum(1, 0, [([[-1]], [])])
@@ -101,7 +101,8 @@ class TestDatum:
     def test_rank_two_identity_cohomology_is_exterior_algebra(self):
         datum = free_datum(1, 0, [([[1]], []), ([[1]], [])])
         cx = build_datum(datum)
-        assert all(cx.differential(j, "even").is_zero for j in (1, 2))
+        assert cx.differential(1, "even") == IntMatrix.zeros(1, 2)
+        assert cx.differential(2, "even") == IntMatrix.zeros(2, 1)
         groups = datum_cohomology(datum)
         assert [g.even for g in groups] == [Z(1), Z(2), Z(1)]
         assert all(g.odd.is_trivial for g in groups)
@@ -172,7 +173,7 @@ class TestDatum:
         pres = datum.even
         cx = build_datum(datum)
         prod = cx.differential(1, "even") @ cx.differential(2, "even")
-        assert not prod.is_zero
+        assert prod != IntMatrix.zeros(prod.rows, prod.cols)
         rel = spot_relations(datum, 0, "even")  # d_1 d_2 lands in spot 0
         assert rel @ solve_exact(rel, prod) == prod
         # beta = id mod 2, so spot j carries C(2, j) copies of (Z/2)^2.
@@ -223,16 +224,32 @@ class TestDatum:
 
 
 class TestJSONSchema:
-    def test_round_trip(self):
-        datum = free_datum(2, 1, [([[0, 1], [1, 0]], [[1]])])
-        again = ModuleDatum.from_json_dict(datum.to_json_dict())
-        assert again == datum
+    def test_relation_rows_read_as_columns(self):
+        # Each relation row is one column of Presentation.relations; endomorphism
+        # rows are matrix rows.  Read the other way round, the relations would
+        # be [[2, 1], [0, 3]] and the endomorphism would not preserve them.
+        obj = {
+            "n": 1,
+            "even": {"free_rank": 2, "relations": [[2, 1], [0, 3]]},
+            "odd": {"free_rank": 1, "relations": []},
+            "endos": [{"even": [[1, 0], [3, 1]], "odd": [[-1]]}],
+        }
+        expected = ModuleDatum(
+            Presentation(2, IntMatrix.from_rows([[2, 0], [1, 3]])),
+            Presentation.free(1),
+            (GradedEndo(IntMatrix.from_rows([[1, 0], [3, 1]]), IntMatrix.from_rows([[-1]])),),
+        )
+        assert ModuleDatum.from_json_dict(obj) == expected
 
     def test_unknown_field_rejected(self):
-        datum = free_datum(1, 0, [([[1]], [])])
-        obj = datum.to_json_dict()
-        obj["extra"] = 1
-        with pytest.raises(DatumError):
+        obj = {
+            "n": 1,
+            "even": {"free_rank": 1, "relations": []},
+            "odd": {"free_rank": 0, "relations": []},
+            "endos": [{"even": [[1]], "odd": []}],
+            "extra": 1,
+        }
+        with pytest.raises(DatumError, match="^datum: unknown field 'extra'$"):
             ModuleDatum.from_json_dict(obj)
 
     def test_wrong_row_length_rejected(self):

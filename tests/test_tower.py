@@ -1,7 +1,6 @@
 """Rank-one PV, full tower assembly, iterated oracle, structural shapes."""
 
 import itertools
-import json
 import random
 from math import gcd
 
@@ -229,7 +228,8 @@ def test_total_complex_closes_and_ends_injective(datum):
     cx = build_datum(datum)
     for parity in ("even", "odd"):
         for j in range(2, cx.n + 2):
-            assert (cx.totals[parity][j - 2] @ cx.totals[parity][j - 1]).is_zero
+            prod = cx.totals[parity][j - 2] @ cx.totals[parity][j - 1]
+            assert prod == IntMatrix.zeros(prod.rows, prod.cols)
         last = cx.totals[parity][cx.n]
         flat = [x for row in last.entries for x in row]
         assert Matrix(last.rows, last.cols, flat).rank() == last.cols
@@ -334,14 +334,6 @@ class TestTower:
                 report = pv_tower(permuted)
                 assert report.final == base.final
                 assert [l.group for l in report.levels] == [l.group for l in base.levels]
-
-    def test_tower_report_serializes(self):
-        report = pv_tower(torus_datum(2))
-        payload = json.dumps(report.to_json_dict(), sort_keys=True)
-        parsed = json.loads(payload)
-        assert parsed["final"] == {"even": "Z^2", "odd": "Z^2"}
-        assert parsed["levels"][0]["level"] == 1
-        assert isinstance(parsed["reasons"], list)
 
     def test_flagged_tower_reports_obstruction(self):
         pres = Presentation.of(1, [[2]])
