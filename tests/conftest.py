@@ -1,13 +1,14 @@
 """Shared hypothesis strategies and small helpers."""
 
 import os
+from collections import Counter
 from pathlib import Path
 
 import hypothesis.strategies as st
 from hypothesis import settings
 
 from pvtower.abgroup import IntMatrix, kernel_basis, subquotient
-from pvtower.exterior import Covector
+from pvtower.exterior import Covector, contraction_terms
 from pvtower.ring import LaurentPoly
 
 settings.register_profile("default", deadline=None, max_examples=60)
@@ -43,6 +44,22 @@ def covector_strategy(n: int, nvars: int | None = None):
     return st.tuples(*[poly_strategy(nv, max_terms=2, max_exp=2, max_coeff=3) for _ in range(n)]).map(
         lambda entries: Covector(entries, nv)
     )
+
+
+def composed_contraction_terms(n: int, j: int) -> Counter:
+    """d_j d_(j+1) over commuting indeterminates x_1..x_n, as the contraction terms give it.
+
+    Returns the coefficient of x_a x_b at each (row, col), keyed by
+    (row, col, {a, b}); a complex needs every coefficient to be 0.
+    """
+    by_mid: dict[int, list[tuple[int, int, int]]] = {}
+    for row, mid, a, sign in contraction_terms(n, j):
+        by_mid.setdefault(mid, []).append((row, a, sign))
+    coeffs: Counter = Counter()
+    for mid, col, b, sign in contraction_terms(n, j + 1):
+        for row, a, sign2 in by_mid[mid]:
+            coeffs[row, col, frozenset((a, b))] += sign * sign2
+    return coeffs
 
 
 def homology(d_in, d_out):

@@ -12,7 +12,7 @@ from math import comb
 
 from pvtower.abgroup import FGAbelianGroup, GradedGroup, IntMatrix, snf
 from pvtower.cubical import oracle_compare
-from pvtower.exterior import Covector
+from pvtower.exterior import Covector, contraction_terms
 from pvtower.koszul import (
     GradedEndo,
     ModuleDatum,
@@ -22,8 +22,10 @@ from pvtower.koszul import (
     generic_rank_exactness,
 )
 from pvtower.liegroups import SeriesSpec, homogeneous_ktheory, weyl_order
+from pvtower.ring import one_minus_var
 from pvtower.tower import euler_characteristic, pv_rank1, pv_tower, tower_shape
 
+from conftest import composed_contraction_terms
 from rank1_oracle import iterate_rank1
 from weyl_oracle import weyl_enumerate
 
@@ -136,11 +138,20 @@ def test_criterion_6_property_suites():
         for a, b in zip(diag, diag[1:]):
             ok = ok and (b == 0 if a == 0 else b % a == 0)
 
-    # d^2 = 0 on freshly constructed symbolic complexes.
+    # d^2 = 0 on freshly constructed symbolic complexes: each d_j holds
+    # +-(1 - t_s) exactly where its contraction term puts x_s, and the terms
+    # compose to zero over commuting indeterminates x_1..x_n, so every
+    # specialization x_s = 1 - t_s closes too.
     for n in (2, 3, 4):
         cx = build_symbolic(Covector.standard(n))
+        for j in range(1, n + 1):
+            ok = ok and cx.differential(j).entries == {
+                (r, c): one_minus_var(s, n) if sign == 1 else -one_minus_var(s, n)
+                for r, c, s, sign in contraction_terms(n, j)
+            }
         for j in range(1, n):
-            ok = ok and (cx.differential(j) @ cx.differential(j + 1)).is_zero
+            coeffs = composed_contraction_terms(n, j)
+            ok = ok and bool(coeffs) and not any(coeffs.values())
 
     # Order invariance of the iterated assembly for n <= 3, plus the Euler
     # identity on every unflagged tower run.
