@@ -43,10 +43,6 @@ class Covector:
     def n(self) -> int:
         return len(self.entries)
 
-    def entry(self, i: int) -> "LaurentPoly":
-        """Coefficient of e_i*, i in 1..n."""
-        return self.entries[i - 1]
-
     @cached_property
     def negated(self) -> "tuple[LaurentPoly, ...]":
         """The entries negated, built once for the matrices of every degree."""

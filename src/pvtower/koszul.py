@@ -239,10 +239,6 @@ class SymbolicComplex:
     def n(self) -> int:
         return self.covector.n
 
-    @property
-    def ranks(self) -> tuple[int, ...]:
-        return tuple(comb(self.n, d) for d in range(self.n + 1))
-
     def differential(self, j: int) -> PolyMatrix:
         """d_j: spot j -> spot j-1, j in 1..n."""
         if not 1 <= j <= self.n:
@@ -458,9 +454,6 @@ class RankExactnessReport:
     @property
     def all_consistent(self) -> bool:
         return all(s.consistent for s in self.spots)
-
-    def observed_rank(self, j: int) -> int:
-        return self.spots[j - 1].observed_rank
 
 
 # Sample coordinates are num/den with |num| and den at most this bound.
