@@ -9,7 +9,7 @@ from hypothesis import settings
 
 from pvtower.abgroup import IntMatrix, kernel_basis, subquotient
 from pvtower.exterior import Covector, contraction_terms
-from pvtower.ring import LaurentPoly
+from pvtower.ring import P, LaurentPoly
 
 settings.register_profile("default", deadline=None, max_examples=60)
 settings.load_profile("default")
@@ -60,6 +60,24 @@ def composed_contraction_terms(n: int, j: int) -> Counter:
         for row, a, sign2 in by_mid[mid]:
             coeffs[row, col, frozenset((a, b))] += sign * sign2
     return coeffs
+
+
+def product_vanishes_at(left, right, point) -> bool:
+    """Whether left @ right, two PolyMatrix values, is 0 at ``point`` mod P.
+
+    A nonzero Laurent polynomial vanishes at a random point of (F_P^*)^n with
+    probability at most its degree over P = 2^61 - 1 (Schwartz-Zippel), so
+    a product that is 0 at random points is 0 in the ring.
+    """
+    lower = right.evaluate(point)
+    for row in left.evaluate(point):
+        acc: dict[int, int] = {}
+        for k, x in row.items():
+            for c, y in lower[k].items():
+                acc[c] = (acc.get(c, 0) + x * y) % P
+        if any(acc.values()):
+            return False
+    return True
 
 
 def homology(d_in, d_out):

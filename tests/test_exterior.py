@@ -1,5 +1,6 @@
 """Exterior basis order, contraction terms, contraction matrices."""
 
+import random
 from itertools import combinations
 from math import comb
 
@@ -8,9 +9,9 @@ import pytest
 from hypothesis import given, settings
 
 from pvtower.exterior import Covector, contraction_terms, koszul_matrix
-from pvtower.ring import P, one_minus_var
+from pvtower.ring import P, LaurentPoly, one_minus_var
 
-from conftest import composed_contraction_terms, covector_strategy
+from conftest import composed_contraction_terms, covector_strategy, product_vanishes_at
 
 
 class TestBasis:
@@ -46,6 +47,33 @@ class TestKoszulMatrix:
         assert (m.rows, m.cols) == (2, 1)
         assert m.entries[0, 0] == -one_minus_var(2, 2)
         assert m.entries[1, 0] == one_minus_var(1, 2)
+
+    @given(covector_strategy(4))
+    @settings(max_examples=25)
+    def test_consecutive_product_vanishes(self, v):
+        rng = random.Random(4)
+        for _ in range(2):
+            point = [rng.randrange(1, P) for _ in range(4)]
+            for j in range(2, 5):
+                assert product_vanishes_at(koszul_matrix(v, j - 1), koszul_matrix(v, j), point)
+
+    def test_consecutive_product_vanishes_up_to_rank_six(self):
+        rng = random.Random(64)
+        for n in (5, 6):
+            entries = tuple(
+                LaurentPoly(
+                    n,
+                    {
+                        tuple(rng.randint(-1, 1) for _ in range(n)): rng.randint(-3, 3)
+                        for _ in range(2)
+                    },
+                )
+                for _ in range(n)
+            )
+            v = Covector(entries, n)
+            point = [rng.randrange(1, P) for _ in range(n)]
+            for j in range(2, n + 1):
+                assert product_vanishes_at(koszul_matrix(v, j - 1), koszul_matrix(v, j), point)
 
     def test_contraction_terms_compose_to_zero(self):
         # Over commuting indeterminates x_1..x_n, every coefficient of

@@ -33,7 +33,7 @@ from pvtower.koszul import (
 )
 from pvtower.ring import P, LaurentPoly, one_minus_var
 
-from conftest import int_matrix_strategy
+from conftest import covector_strategy, int_matrix_strategy, product_vanishes_at
 from cycle_lattice_oracle import spot_relations
 
 Z = FGAbelianGroup.free
@@ -62,6 +62,15 @@ class TestSymbolic:
         cx = build_symbolic(Covector.standard(1))
         m = cx.differential(1)
         assert m.entries[0, 0] == one_minus_var(1, 1)
+
+    @given(covector_strategy(3))
+    @settings(max_examples=20)
+    def test_random_covector_complex_closes(self, v):
+        cx = build_symbolic(v)
+        rng = random.Random(3)
+        point = [rng.randrange(1, P) for _ in range(3)]
+        for j in range(1, 3):
+            assert product_vanishes_at(cx.differential(j), cx.differential(j + 1), point)
 
     def test_contraction_sign_rule_closes_through_rank_8(self):
         # Neither builder checks d_j d_{j+1} = 0; both take their signs from
