@@ -58,11 +58,6 @@ class IntMatrix:
     def zeros(cls, rows: int, cols: int) -> "IntMatrix":
         return cls(rows, cols, tuple(tuple(0 for _ in range(cols)) for _ in range(rows)))
 
-    @classmethod
-    def from_sparse(cls, rows: Sequence[dict[int, int]], cols: int) -> "IntMatrix":
-        """The matrix whose rows are the given {column: value} maps."""
-        return cls.from_rows([[row.get(j, 0) for j in range(cols)] for row in rows], cols)
-
     def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
         if self.cols != other.rows:
             raise ValueError(

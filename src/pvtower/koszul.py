@@ -20,8 +20,8 @@ of free groups, T_d = P_d + Q_(d-1) with P_d the spot and Q_d = Z^(C(n, d) r),
 which maps onto the Koszul complex of the quotient groups with the cone
 of the identity of Q as kernel; :class:`DatumComplex` gives d', h and
 the formulas for cohomology and level kernels.  Each delta_d is written
-and eliminated as sparse {column: value} rows (``DatumComplex.deltas``);
-``DatumComplex.totals`` is their dense view, built only when read.
+and eliminated as sparse {column: value} rows (``DatumComplex.deltas``),
+over the directions whose 1 - beta_i does not act as 0 on the parity.
 
 Neither builder multiplies differentials: symbolic d d = 0 is the sign
 rule of ``contraction_terms``, which the tests check, and datum d d = B h
@@ -29,7 +29,6 @@ is made of the commutators that ``ModuleDatum`` validation solves for.
 """
 
 import random
-from functools import cached_property
 from itertools import combinations
 from math import comb
 
@@ -41,6 +40,7 @@ from .abgroup import (
     LatticeSolveError,
     SmithNormalForm,
     cokernel,
+    hstack,
     snf,
     split_sum,
 )
@@ -270,36 +270,23 @@ class DatumComplex:
 
         Z^(dim T_d - rk delta_d - dim Q_d) + tors coker iota_d.
 
-    A free parity has r = 0, and these are the textbook formulas.
-    ``deltas[parity][j-1]`` holds delta_j as sparse rows, one {column:
-    value} map per row, and ``quotients[parity][d]`` the cokernel of
-    delta_(d+1), of free rank dim T_d - rk delta_(d+1).  ``totals`` is the
-    dense view: ``totals[parity][j-1]`` is delta_j as an IntMatrix.
+    A free parity has r = 0, and these are the textbook formulas.  T is
+    built over the n' directions that act on the parity's quotient group,
+    which still commute modulo B; the ``zeros[parity]`` = n - n' others act
+    as 0, tensoring the Koszul complex with wedge* Z^(n - n') under d = 0.
+    ``deltas[parity][j-1]`` holds delta_j (j = 1..n'+1) as sparse rows, one
+    {column: value} map per row, and ``quotients[parity][d]`` the cokernel
+    of delta_(d+1), of free rank dim T_d - rk delta_(d+1).
     """
 
     datum: ModuleDatum
     deltas: dict[str, tuple[list[dict[int, int]], ...]]
     quotients: dict[str, tuple[FGAbelianGroup, ...]]
+    zeros: dict[str, int]
 
     @property
     def n(self) -> int:
         return self.datum.n
-
-    @cached_property
-    def totals(self) -> dict[str, tuple[IntMatrix, ...]]:
-        """Each delta_j as an IntMatrix of shape dim T_(j-1) x dim T_j."""
-        n, action = self.n, self.datum.lattice_action
-        return {p: tuple(IntMatrix.from_sparse(
-            rows, comb(n, j) * action[p][0].rows + comb(n, j - 1) * action[p][0].cols)
-            for j, rows in enumerate(self.deltas[p], 1)) for p in PARITIES}
-
-    def differential(self, j: int, parity: str) -> IntMatrix:
-        """d_j: spot j -> spot j-1 on one parity, j in 1..n: the P block of delta_j."""
-        if not 1 <= j <= self.n:
-            raise ValueError(f"differential index {j} out of range 1..{self.n}")
-        g = self.datum.presentation(parity).free_rank
-        delta = self.totals[parity][j - 1]
-        return delta.take_rows(0, comb(self.n, j - 1) * g).take_cols(0, comb(self.n, j) * g)
 
 
 def build_symbolic(v: Covector) -> SymbolicComplex:
@@ -357,22 +344,33 @@ def _total_differential(n: int, j: int, g: int, r: int, terms: list, pairs: dict
 
 def build_datum(datum: ModuleDatum) -> DatumComplex:
     """The free total complex of a module datum and the cokernel of each differential."""
-    n = datum.n  # the term lists serve both parities; double terms only with relations
-    terms = [None] + [list(contraction_terms(n, j)) for j in range(1, n + 1)]
-    pairs = {j: list(_double_contraction_terms(terms[j - 1], terms[j])) for j in range(2, n + 1)
-             if any(datum.lattice_action[parity][0].cols for parity in PARITIES)}
-    deltas, quotients = {}, {}
+    terms, pairs, deltas, quotients, zeros = {}, {}, {}, {}, {}
     for parity in PARITIES:
         basis, rhos, commutators = datum.lattice_action[parity]
         g, r = basis.rows, basis.cols
-        blocks = (_nonzeros(basis),
-                  [_nonzeros(IntMatrix.identity(g) - e.part(parity)) for e in datum.endos],
-                  {ab: _nonzeros(c) for ab, c in commutators.items()},
-                  [_nonzeros(IntMatrix.identity(r) - rho) for rho in rhos])
-        deltas[parity] = tuple(_total_differential(n, j, g, r, terms, pairs, *blocks)
+        xs = [IntMatrix.identity(g) - e.part(parity) for e in datum.endos]
+        # x_i acts as 0 on M = Z^g / B when im x_i lies in im B, that is, when
+        # coker [B | x_i] = M / im x_i is isomorphic to coker B = M: a finitely
+        # generated abelian group is Hopfian, never isomorphic to a proper
+        # quotient.  A g = 0 parity keeps every direction; its blocks are empty.
+        group = cokernel(basis) if r else None
+        kept = [i for i, x in enumerate(xs) if not g or (
+            cokernel(hstack(basis, x)) != group if r else any(map(any, x.entries)))]
+        n, index = len(kept), {i + 1: k for k, i in enumerate(kept, 1)}  # renumbers c_ab
+        zeros[parity] = datum.n - n
+        if n not in terms:  # term lists serve both parities; double terms only with relations
+            terms[n] = [None] + [list(contraction_terms(n, j)) for j in range(1, n + 1)]
+        if r and n not in pairs:
+            pairs[n] = {j: list(_double_contraction_terms(terms[n][j - 1], terms[n][j]))
+                        for j in range(2, n + 1)}
+        blocks = (_nonzeros(basis), [_nonzeros(xs[i]) for i in kept],
+                  {(index[a], index[b]): _nonzeros(c) for (a, b), c in commutators.items()
+                   if a in index and b in index},
+                  [_nonzeros(IntMatrix.identity(r) - rhos[i]) for i in kept if rhos])
+        deltas[parity] = tuple(_total_differential(n, j, g, r, terms[n], pairs.get(n), *blocks)
                                for j in range(1, n + 2))
         quotients[parity] = tuple(map(cokernel, deltas[parity]))
-    return DatumComplex(datum, deltas, quotients)
+    return DatumComplex(datum, deltas, quotients, zeros)
 
 
 # ---------------------------------------------------------------------------
@@ -384,17 +382,24 @@ def _spot_quotient(cx: DatumComplex, d: int, incoming: bool) -> GradedGroup:
     """ker delta_d modulo the image of delta_(d+1), per parity.
 
     Without ``incoming`` only the image of its Q_d block iota_d is divided out.
+    With z directions split off, that is C(z, d - i) copies of it at each
+    spot i of the complex that was built.
     """
     parts = {}
     for parity in PARITIES:
-        quotient = cx.quotients[parity][d]
-        if not incoming:
-            left = comb(cx.n, d + 1) * cx.datum.presentation(parity).free_rank
-            quotient = cokernel([{c: x for c, x in row.items() if c >= left}
-                                 for row in cx.deltas[parity][d]])
-        # rk delta_d, from the cokernel of delta_d; delta_0 = 0.
-        rank_in = d and len(cx.deltas[parity][d - 1]) - cx.quotients[parity][d - 1].free_rank
-        parts[parity] = FGAbelianGroup(quotient.free_rank - rank_in, quotient.torsion)
+        deltas, quotients, z = cx.deltas[parity], cx.quotients[parity], cx.zeros[parity]
+        free, torsion, kept = 0, [], len(deltas) - 1
+        for i in range(max(0, d - z), min(kept, d) + 1):
+            quotient = quotients[i]
+            if not incoming:
+                left = comb(kept, i + 1) * cx.datum.presentation(parity).free_rank
+                quotient = cokernel([{c: x for c, x in row.items() if c >= left}
+                                     for row in deltas[i]])
+            # rk delta_i, from the cokernel of delta_i; delta_0 = 0.
+            rank_in = i and len(deltas[i - 1]) - quotients[i - 1].free_rank
+            free += comb(z, d - i) * (quotient.free_rank - rank_in)
+            torsion += quotient.torsion * comb(z, d - i)
+        parts[parity] = FGAbelianGroup.from_invariants(free, torsion)
     return GradedGroup(parts["even"], parts["odd"])
 
 

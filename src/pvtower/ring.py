@@ -43,12 +43,12 @@ class LaurentPoly:
             raise ValueError("nvars must be nonnegative")
         clean: dict[tuple[int, ...], int] = {}
         for exps, coeff in (terms or {}).items():
-            vec = tuple(map(int, exps))
+            vec = tuple(map(index, exps))
             if len(vec) != nvars:
                 raise ValueError(
                     f"exponent vector {vec} has length {len(vec)}, expected {nvars}"
                 )
-            c = int(coeff)
+            c = index(coeff)
             if c:
                 clean[vec] = clean.get(vec, 0) + c
                 if clean[vec] == 0:

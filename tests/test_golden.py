@@ -46,6 +46,11 @@ CASES = {
     # every group vanishes.
     "tower_noncommuting_mod2": ("tower",),
     "tower_acyclic_n8": ("tower",),
+    # Directions that act as 0: every beta_i = 1 on (Z, Z); and (Z/4)^2,
+    # where three lifts differ from I but are I modulo 4, beside an odd Z
+    # with beta_i = +-1, so the parities lose different directions.
+    "tower_trivial_n10": ("tower",),
+    "tower_hidden_zero_n6": ("tower",),
     # Symbolic commands.
     "homog_A_5_3": ("homog", "--series", "A", "--n", "5", "--k", "3", "--seed", "4"),
     "homog_C_4_3": ("homog", "--series", "C", "--n", "4", "--k", "3", "--seed", "2"),

@@ -34,7 +34,7 @@ from pvtower.koszul import (
 from pvtower.ring import P, LaurentPoly, one_minus_var
 
 from conftest import covector_strategy, int_matrix_strategy, product_vanishes_at
-from cycle_lattice_oracle import spot_relations
+from cycle_lattice_oracle import koszul_differential, spot_relations
 
 Z = FGAbelianGroup.free
 T = FGAbelianGroup.trivial
@@ -48,13 +48,24 @@ def free_datum(even_rank, odd_rank, endo_pairs):
     return ModuleDatum(Presentation.free(even_rank), Presentation.free(odd_rank), endos)
 
 
-def noncommuting_mod2_datum():
-    """(Z/2)^2 with lifts whose commutator [[4, 0], [0, -4]] lies in the relations."""
-    pres = Presentation.of(2, [[2, 0], [0, 2]])
+def noncommuting_datum(m=2):
+    """(Z/m)^2, m = 2 or 4, with lifts whose commutator [[4, 0], [0, -4]] lies in the relations.
+
+    Both lifts are I modulo 2, so on (Z/2)^2 they act as 0; on (Z/4)^2 neither does.
+    """
+    pres = Presentation.of(2, [[m, 0], [0, m]])
     b1 = IntMatrix.from_rows([[1, 2], [0, 1]])
     b2 = IntMatrix.from_rows([[1, 0], [2, 1]])
     empty = IntMatrix.identity(0)
     return ModuleDatum(pres, Presentation.free(0), (GradedEndo(b1, empty), GradedEndo(b2, empty)))
+
+
+def total_matrix(cx, parity, j):
+    """delta_j of the complex ``build_datum`` built for one parity, as an IntMatrix."""
+    kept, basis = len(cx.deltas[parity]) - 1, cx.datum.lattice_action[parity][0]
+    cols = comb(kept, j) * basis.rows + comb(kept, j - 1) * basis.cols
+    return IntMatrix.from_rows([[row.get(c, 0) for c in range(cols)]
+                                for row in cx.deltas[parity][j - 1]], cols)
 
 
 class TestSymbolic:
@@ -76,33 +87,51 @@ class TestSymbolic:
         # Neither builder checks d_j d_{j+1} = 0; both take their signs from
         # contraction_terms.  The nonzero commuting scalars 1 - beta_i = -i make
         # every entry of d_j d_{j+1} a sum of two equal products, which cancel
-        # only when the signs are right.
+        # only when the signs are right.  No direction acts as 0 and the even
+        # part is free, so its built delta_j is the whole d_j.
         for n in range(1, 9):
             cx = build_datum(free_datum(1, 0, [([[i + 1]], []) for i in range(1, n + 1)]))
+            assert cx.zeros == {"even": 0, "odd": 0}
             for j in range(1, n):
-                prod = cx.differential(j, "even") @ cx.differential(j + 1, "even")
+                d_j, d_next = total_matrix(cx, "even", j), total_matrix(cx, "even", j + 1)
+                assert (d_j.rows, d_j.cols) == (comb(n, j - 1), comb(n, j))
+                prod = d_j @ d_next
                 assert prod == IntMatrix.zeros(prod.rows, prod.cols), (n, j)
 
 
 class TestDatum:
     def test_identity_action_rank_one(self):
+        # d_1 = 0: the direction is split off and the even complex is Z alone.
         datum = free_datum(1, 0, [([[1]], [])])
         cx = build_datum(datum)
-        assert cx.differential(1, "even") == IntMatrix.zeros(1, 1)
+        assert cx.zeros == {"even": 1, "odd": 0}
+        assert cx.deltas["even"] == ([{}],)
+        assert [g.even for g in datum_cohomology(datum)] == [Z(1), Z(1)]
 
     def test_negation_action_gives_two(self):
         datum = free_datum(1, 0, [([[-1]], [])])
         cx = build_datum(datum)
-        assert cx.differential(1, "even").entries == ((2,),)
+        assert cx.zeros == {"even": 0, "odd": 0}
+        assert total_matrix(cx, "even", 1).entries == ((2,),)
 
     def test_rank_two_identity_cohomology_is_exterior_algebra(self):
         datum = free_datum(1, 0, [([[1]], []), ([[1]], [])])
         cx = build_datum(datum)
-        assert cx.differential(1, "even") == IntMatrix.zeros(1, 2)
-        assert cx.differential(2, "even") == IntMatrix.zeros(2, 1)
+        assert cx.zeros == {"even": 2, "odd": 0}
+        assert cx.deltas["even"] == ([{}],)
         groups = datum_cohomology(datum)
         assert [g.even for g in groups] == [Z(1), Z(2), Z(1)]
         assert all(g.odd.is_trivial for g in groups)
+
+    def test_trivial_rank_16_builds_no_direction(self):
+        # Every beta_i = 1 on (Z, Z): both parities split all 16 directions off,
+        # build one delta each, and spot d carries C(16, d) copies of Z.
+        datum = free_datum(1, 1, [([[1]], [[1]])] * 16)
+        cx = build_datum(datum)
+        assert cx.zeros == {"even": 16, "odd": 16}
+        assert [len(cx.deltas[p]) for p in ("even", "odd")] == [1, 1]
+        groups = datum_cohomology(datum)
+        assert groups == [GradedGroup(Z(comb(16, d)), Z(comb(16, d))) for d in range(17)]
 
     def test_graded_identity_rank_one(self):
         datum = free_datum(1, 1, [([[1]], [[1]])])
@@ -166,10 +195,11 @@ class TestDatum:
         # On (Z/2)^2 the commutator [[4, 0], [0, -4]] of these lifts lies in
         # the relation lattice, so the datum is accepted and d_1 d_2, which
         # is made of that commutator, vanishes only modulo the relations.
-        datum = noncommuting_mod2_datum()
+        # Both lifts are I modulo 2, so build_datum splits both directions off.
+        datum = noncommuting_datum()
         pres = datum.even
-        cx = build_datum(datum)
-        prod = cx.differential(1, "even") @ cx.differential(2, "even")
+        assert build_datum(datum).zeros == {"even": 2, "odd": 0}
+        prod = koszul_differential(datum, 1, "even") @ koszul_differential(datum, 2, "even")
         assert prod != IntMatrix.zeros(prod.rows, prod.cols)
         rel = spot_relations(datum, 0, "even")  # d_1 d_2 lands in spot 0
         assert rel @ solve_exact(rel, prod) == prod

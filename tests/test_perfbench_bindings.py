@@ -57,16 +57,19 @@ def test_traced_validation_is_a_classmethod():
 
 def test_traced_cokernel_covers_the_datum_path():
     # Install the tracer's wrappers as `--trace 1` does, then count the
-    # cokernel spans: build_datum eliminates delta_1..delta_(n+1) per parity.
+    # cokernel spans.  No 1 - beta_i acts as 0 on (Z/3)^2 or on Z here, so
+    # build_datum splits no direction off and eliminates delta_1..delta_(n+1)
+    # per parity; on top of those it tests each even direction against the
+    # relations.
     modules = {layer: _module(layer) for layer in tracing.LAYERS}
     datum = modules["koszul"].ModuleDatum.from_json_dict({
         "n": 3,
-        "even": {"free_rank": 2, "relations": [[2, 0], [0, 2]]},
+        "even": {"free_rank": 2, "relations": [[3, 0], [0, 3]]},
         "odd": {"free_rank": 1, "relations": []},
         "endos": [
             {"even": [[0, 1], [1, 0]], "odd": [[-1]]},
-            {"even": [[1, 0], [0, 1]], "odd": [[1]]},
             {"even": [[-1, 0], [0, -1]], "odd": [[-1]]},
+            {"even": [[0, -1], [-1, 0]], "odd": [[-1]]},
         ],
     })
     tracer = tracing.Tracer(modules)

@@ -48,6 +48,13 @@ class TestErrors:
         with pytest.raises(ValueError, match="expected 2"):
             LaurentPoly(2, {(1,): 1})
 
+    def test_non_integer_exponent_or_coefficient_rejected(self):
+        # int() would truncate these and merge (1.5,) into (1,) or 2.7 into 2.
+        with pytest.raises(TypeError):
+            LaurentPoly(1, {(1.5,): 1})
+        with pytest.raises(TypeError):
+            LaurentPoly(1, {(0,): 2.7})
+
     def test_one_minus_var_index_out_of_range(self):
         for i in (0, 3):
             with pytest.raises(ValueError, match="out of range 1..2"):

@@ -27,7 +27,7 @@ from pvtower.tower import (
 
 import cycle_lattice_oracle as oracle
 from rank1_oracle import iterate_rank1
-from test_koszul import noncommuting_mod2_datum
+from test_koszul import noncommuting_datum, total_matrix
 
 Z = FGAbelianGroup.free
 T = FGAbelianGroup.trivial
@@ -219,24 +219,45 @@ def _lifted_datum(draw):
     return ModuleDatum(datum.even, datum.odd, endos)
 
 
+def _hidden_zero_datum():
+    """(Z/4)^2 beside a free Z; two even lifts differ from I but are I modulo 4.
+
+    Only the even part has a direction that acts as 0; every odd beta_i is -1.
+    """
+    minus = IntMatrix.from_rows([[-1]])
+    even = ([[1, 4], [0, 1]], [[0, 1], [1, 0]], [[5, 0], [0, 1]])
+    endos = tuple(GradedEndo(IntMatrix.from_rows(e), minus) for e in even)
+    return ModuleDatum(Presentation.of(2, [[4, 0], [0, 4]]), Presentation.free(1), endos)
+
+
+def test_zero_directions_are_found_per_parity():
+    assert build_datum(_hidden_zero_datum()).zeros == {"even": 2, "odd": 0}
+    assert build_datum(noncommuting_datum(4)).zeros == {"even": 0, "odd": 0}
+
+
 @given(st.one_of(_cyclic_power_datum(), _lifted_datum()))
-@example(noncommuting_mod2_datum())
+@example(noncommuting_datum())
+@example(noncommuting_datum(4))
 def test_total_complex_closes_and_ends_injective(datum):
     # d_(j-1) d_j vanishes only modulo the relations; the total differentials
-    # compose to zero exactly, and the last one, [B; -d'_n], has full column
-    # rank, so the total complex has no homology above spot n.
+    # of the complex build_datum eliminates, over the n' directions that act,
+    # compose to zero exactly, and the last one, [B; -d'_n'], has full column
+    # rank, so that complex has no homology above spot n'.
     cx = build_datum(datum)
     for parity in ("even", "odd"):
-        for j in range(2, cx.n + 2):
-            prod = cx.totals[parity][j - 2] @ cx.totals[parity][j - 1]
+        kept = len(cx.deltas[parity]) - 1
+        assert kept + cx.zeros[parity] == cx.n
+        for j in range(2, kept + 2):
+            prod = total_matrix(cx, parity, j - 1) @ total_matrix(cx, parity, j)
             assert prod == IntMatrix.zeros(prod.rows, prod.cols)
-        last = cx.totals[parity][cx.n]
+        last = total_matrix(cx, parity, kept + 1)
         flat = [x for row in last.entries for x in row]
         assert Matrix(last.rows, last.cols, flat).rank() == last.cols
 
 
 @given(st.one_of(_cyclic_power_datum(), _lifted_datum()), st.data())
-@example(noncommuting_mod2_datum(), None)
+@example(noncommuting_datum(), None)
+@example(_hidden_zero_datum(), None)
 def test_datum_path_matches_cycle_lattice_oracle(datum, data):
     if data is not None and data.draw(st.booleans()):
         datum = ModuleDatum(
