@@ -20,8 +20,8 @@ _EXPORTS = {
     "Covector": "exterior", "contraction_terms": "exterior", "koszul_matrix": "exterior",
     "DatumComplex": "koszul", "GradedEndo": "koszul", "ModuleDatum": "koszul",
     "Presentation": "koszul", "SymbolicComplex": "koszul", "build_datum": "koszul",
-    "build_symbolic": "koszul", "convolve_with_exterior": "koszul",
-    "datum_cohomology": "koszul", "generic_rank_exactness": "koszul",
+    "build_symbolic": "koszul", "datum_cohomology": "koszul",
+    "generic_rank_exactness": "koszul",
     "SeriesSpec": "liegroups", "homogeneous_ktheory": "liegroups", "weyl_order": "liegroups",
     "LaurentPoly": "ring", "PolyMatrix": "ring",
     "PVResult": "tower", "TowerReport": "tower", "TowerShape": "tower",

@@ -2,11 +2,10 @@
 
 Symbolic (:class:`SymbolicComplex`): wedge powers of Z^n tensored with a
 Laurent ring, with differentials given by contraction against a
-covector.  Cohomology over the ring is not computed in general; regular
-covectors of the shape (1 - t_i) are resolved by the structure theorem,
-witnessed by seeded generic-rank checks in F_P (P = 2^61 - 1), and
-directions whose entry vanishes are added back by
-:func:`convolve_with_exterior`.
+covector.  Cohomology over the ring is not computed: the standard
+covector (1 - t_1, ..., 1 - t_n), the only one the solvers build, is a
+regular sequence, resolved by the structure theorem and witnessed by
+seeded generic-rank checks in F_P (P = 2^61 - 1).
 
 Datum (:class:`DatumComplex`): a finitely generated Z/2-graded group,
 per parity Z^g modulo a relation lattice with basis B (g x r), carrying n
@@ -21,7 +20,9 @@ which maps onto the Koszul complex of the quotient groups with the cone
 of the identity of Q as kernel; :class:`DatumComplex` gives d', h and
 the formulas for cohomology and level kernels.  Each delta_d is written
 and eliminated as sparse {column: value} rows (``DatumComplex.deltas``),
-over the directions whose 1 - beta_i does not act as 0 on the parity.
+over the directions whose 1 - beta_i does not act as 0 on the parity;
+the same pass reads each built spot's homology and level kernel, and a
+spot of the full complex is a binomial sum of those.
 
 Neither builder multiplies differentials: symbolic d d = 0 is the sign
 rule of ``contraction_terms``, which the tests check, and datum d d = B h
@@ -42,7 +43,6 @@ from .abgroup import (
     cokernel,
     hstack,
     snf,
-    split_sum,
 )
 from .exterior import Covector, contraction_terms, koszul_matrix
 from .ring import P, PolyMatrix
@@ -275,13 +275,15 @@ class DatumComplex:
     which still commute modulo B; the ``zeros[parity]`` = n - n' others act
     as 0, tensoring the Koszul complex with wedge* Z^(n - n') under d = 0.
     ``deltas[parity][j-1]`` holds delta_j (j = 1..n'+1) as sparse rows, one
-    {column: value} map per row, and ``quotients[parity][d]`` the cokernel
-    of delta_(d+1), of free rank dim T_d - rk delta_(d+1).
+    {column: value} map per row; ``homology[parity][d]`` and
+    ``kernels[parity][d]`` hold H_d and the kernel of d_d of the built
+    complex (d = 0..n').
     """
 
     datum: ModuleDatum
     deltas: dict[str, tuple[list[dict[int, int]], ...]]
-    quotients: dict[str, tuple[FGAbelianGroup, ...]]
+    homology: dict[str, tuple[FGAbelianGroup, ...]]
+    kernels: dict[str, tuple[FGAbelianGroup, ...]]
     zeros: dict[str, int]
 
     @property
@@ -343,8 +345,8 @@ def _total_differential(n: int, j: int, g: int, r: int, terms: list, pairs: dict
 
 
 def build_datum(datum: ModuleDatum) -> DatumComplex:
-    """The free total complex of a module datum and the cokernel of each differential."""
-    terms, pairs, deltas, quotients, zeros = {}, {}, {}, {}, {}
+    """The free total complex of a module datum, with the homology and level kernel at each spot."""
+    terms, pairs, deltas, homology, kernels, zeros = {}, {}, {}, {}, {}, {}
     for parity in PARITIES:
         basis, rhos, commutators = datum.lattice_action[parity]
         g, r = basis.rows, basis.cols
@@ -369,8 +371,18 @@ def build_datum(datum: ModuleDatum) -> DatumComplex:
                   [_nonzeros(IntMatrix.identity(r) - rhos[i]) for i in kept if rhos])
         deltas[parity] = tuple(_total_differential(n, j, g, r, terms[n], pairs.get(n), *blocks)
                                for j in range(1, n + 2))
-        quotients[parity] = tuple(map(cokernel, deltas[parity]))
-    return DatumComplex(datum, deltas, quotients, zeros)
+        # Spot i reads coker delta_(i+1) and coker iota_i, the Q_i columns of
+        # delta_(i+1), each less rk delta_i (delta_0 = 0).
+        read, rank_in = [], 0
+        for i, rows in enumerate(deltas[parity]):
+            left = comb(n, i + 1) * g
+            quotient = cokernel(rows)
+            iota = cokernel([{c: x for c, x in row.items() if c >= left} for row in rows])
+            read.append((FGAbelianGroup(quotient.free_rank - rank_in, quotient.torsion),
+                         FGAbelianGroup(iota.free_rank - rank_in, iota.torsion)))
+            rank_in = len(rows) - quotient.free_rank
+        homology[parity], kernels[parity] = map(tuple, zip(*read))
+    return DatumComplex(datum, deltas, homology, kernels, zeros)
 
 
 # ---------------------------------------------------------------------------
@@ -378,34 +390,26 @@ def build_datum(datum: ModuleDatum) -> DatumComplex:
 # ---------------------------------------------------------------------------
 
 
-def _spot_quotient(cx: DatumComplex, d: int, incoming: bool) -> GradedGroup:
-    """ker delta_d modulo the image of delta_(d+1), per parity.
+def _binomial_fold(cx: DatumComplex, spots: dict[str, tuple[FGAbelianGroup, ...]],
+                   d: int) -> GradedGroup:
+    """Spot d of the full complex: C(z, d - i) copies of built spot i, per parity.
 
-    Without ``incoming`` only the image of its Q_d block iota_d is divided out.
-    With z directions split off, that is C(z, d - i) copies of it at each
-    spot i of the complex that was built.
+    The z split-off directions tensor the built complex with wedge* Z^z
+    under the zero differential, so cycles and homology split alike.
     """
-    parts = {}
+    parts = []
     for parity in PARITIES:
-        deltas, quotients, z = cx.deltas[parity], cx.quotients[parity], cx.zeros[parity]
-        free, torsion, kept = 0, [], len(deltas) - 1
-        for i in range(max(0, d - z), min(kept, d) + 1):
-            quotient = quotients[i]
-            if not incoming:
-                left = comb(kept, i + 1) * cx.datum.presentation(parity).free_rank
-                quotient = cokernel([{c: x for c, x in row.items() if c >= left}
-                                     for row in deltas[i]])
-            # rk delta_i, from the cokernel of delta_i; delta_0 = 0.
-            rank_in = i and len(deltas[i - 1]) - quotients[i - 1].free_rank
-            free += comb(z, d - i) * (quotient.free_rank - rank_in)
-            torsion += quotient.torsion * comb(z, d - i)
-        parts[parity] = FGAbelianGroup.from_invariants(free, torsion)
-    return GradedGroup(parts["even"], parts["odd"])
+        groups, z, free, torsion = spots[parity], cx.zeros[parity], 0, []
+        for i in range(max(0, d - z), min(len(groups), d + 1)):
+            free += comb(z, d - i) * groups[i].free_rank
+            torsion += groups[i].torsion * comb(z, d - i)
+        parts.append(FGAbelianGroup.from_invariants(free, torsion))
+    return GradedGroup(*parts)
 
 
 def datum_spot_cohomology(cx: DatumComplex, d: int) -> GradedGroup:
     """Homology at spot d of a datum complex, one group per parity."""
-    return _spot_quotient(cx, d, incoming=True)
+    return _binomial_fold(cx, cx.homology, d)
 
 
 def datum_cohomology(datum: ModuleDatum) -> list[GradedGroup]:
@@ -416,24 +420,7 @@ def datum_cohomology(datum: ModuleDatum) -> list[GradedGroup]:
 
 def datum_spot_kernel(cx: DatumComplex, d: int) -> GradedGroup:
     """The kernel of d_d on the quotient spot-d group (d = 1..n)."""
-    return _spot_quotient(cx, d, incoming=False)
-
-
-# ---------------------------------------------------------------------------
-# Zero directions
-# ---------------------------------------------------------------------------
-
-
-def convolve_with_exterior(spot_groups: list[GradedGroup], z: int) -> list[GradedGroup]:
-    """Tensor spot-indexed cohomology with wedge* Z^z.
-
-    Zero covector directions contribute pure degree shifts: the output at
-    spot d collects C(z, d - i) copies of the input at spot i.  Suspension
-    bookkeeping happens downstream, where spot d carries shift Sigma^d, so
-    each output spot is one split sum of unshifted copies.
-    """
-    return [split_sum((g, 0, comb(z, d - i)) for i, g in enumerate(spot_groups) if 0 <= d - i <= z)
-            for d in range(len(spot_groups) + z)]
+    return _binomial_fold(cx, cx.kernels, d)
 
 
 # ---------------------------------------------------------------------------

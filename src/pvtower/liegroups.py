@@ -6,15 +6,14 @@ closed form.  For a nested same-series pair the representation-theoretic
 input reduces to the Koszul complex of the rank-k standard covector
 (1 - t_1, ..., 1 - t_k) over Z[t1^{+-1}, ..., tk^{+-1}].  That sequence
 is regular, so the complex resolves to a single Z at the endpoint by
-theorem and is not built here; the n - k remaining directions contribute
-an exterior algebra by convolution.
+theorem and is not built here; the n - k remaining directions act as 0
+and contribute an exterior algebra, so spot d is Z^C(n-k, d), all even.
 """
 
-from math import factorial
+from math import comb, factorial
 
 from ._record import record
 from .abgroup import FGAbelianGroup, GradedGroup, split_sum
-from .koszul import convolve_with_exterior
 
 _MIN_RANK = {"A": 1, "B": 2, "C": 3, "D": 3}
 
@@ -89,11 +88,11 @@ def homogeneous_ktheory(big: SeriesSpec, small: SeriesSpec) -> HomogeneousKTheor
     augmentation quotient, at the endpoint spot and nothing elsewhere.
     ``TestGenericRank::test_standard_covector_closed_form`` checks the
     ranks of that complex for k = 1..8, every k that ``pv homog`` allows.
+    The n - k directions that act as 0 tensor it with wedge* Z^(n-k) under
+    the zero differential, so spot d holds C(n-k, d) copies of that Z.
     """
     n, k = _check_pair(big, small)
-    regular_spots = [GradedGroup(FGAbelianGroup.free(1), FGAbelianGroup.trivial())]
-    regular_spots += [GradedGroup() for _ in range(k)]
-    spot_groups = convolve_with_exterior(regular_spots, n - k)
+    spot_groups = [GradedGroup(FGAbelianGroup.free(comb(n - k, d))) for d in range(n + 1)]
     group = split_sum((g, d, 1) for d, g in enumerate(spot_groups))
     return HomogeneousKTheory(
         group=group,

@@ -490,13 +490,15 @@ class TestStartup:
         assert not {"pvtower.abgroup", "pvtower.koszul", "pvtower.ring", "fractions"} & loaded
 
     def test_homog_loads_no_tower(self):
-        # homog sums its spot groups with abgroup.split_sum; only shape, which
-        # lists tower objects, loads tower beside liegroups.
+        # homog writes its spot groups in closed form and sums them with
+        # abgroup.split_sum: no Koszul layer, no Laurent ring, no exterior
+        # algebra.  Only shape, which lists tower objects, loads tower beside
+        # liegroups.
         loaded = self._loaded(
             "-m", "pvtower.cli", "homog", "--series", "A", "--n", "5", "--k", "3"
         )
-        assert "pvtower.koszul" in loaded
-        assert "pvtower.tower" not in loaded
+        assert {"pvtower.liegroups", "pvtower.abgroup"} <= loaded
+        assert not {"pvtower.koszul", "pvtower.ring", "pvtower.exterior", "pvtower.tower"} & loaded
 
     def test_package_import_loads_no_submodule(self):
         loaded = self._loaded("-c", "import pvtower")

@@ -15,6 +15,7 @@ from pvtower.abgroup import (
     cokernel,
     rational_rank,
     solve_exact,
+    split_sum,
 )
 from pvtower.exterior import Covector
 from pvtower.koszul import (
@@ -24,7 +25,6 @@ from pvtower.koszul import (
     Presentation,
     build_datum,
     build_symbolic,
-    convolve_with_exterior,
     datum_cohomology,
     endpoint_augmentation_surjective,
     generic_rank_exactness,
@@ -37,7 +37,6 @@ from conftest import covector_strategy, int_matrix_strategy, product_vanishes_at
 from cycle_lattice_oracle import koszul_differential, spot_relations
 
 Z = FGAbelianGroup.free
-T = FGAbelianGroup.trivial
 
 
 def free_datum(even_rank, odd_rank, endo_pairs):
@@ -291,26 +290,30 @@ class TestJSONSchema:
 
 
 class TestSplitReduction:
-    """Zero covector directions, added back by convolve_with_exterior."""
+    """Zero covector directions, split off by build_datum and added back as binomial copies."""
 
     def test_all_zero(self):
-        # Two zero directions and an empty regular part: cohomology is one Z
-        # at spot 0; the convolution spreads it into the full exterior algebra.
-        base = [GradedGroup(Z(1), T())]
-        spots = convolve_with_exterior(base, 2)
-        assert [g.even for g in spots] == [Z(1), Z(2), Z(1)]
+        # Both beta_i = I on Z: both directions act as 0, the built complex is
+        # Z alone, and the cohomology is the exterior algebra wedge* Z^2.
+        datum = free_datum(1, 0, [([[1]], []), ([[1]], [])])
+        assert datum_cohomology(datum) == [GradedGroup(Z(1)), GradedGroup(Z(2)), GradedGroup(Z(1))]
 
     def test_convolution_matches_direct_datum_computation(self):
-        # One honest direction and one zero direction on K = Z^2:
-        # dropping the zero direction and convolving with wedge* Z^1 must
-        # reproduce the direct two-variable cohomology exactly.
+        # One honest direction and one zero direction on K = Z^2: dropping the
+        # zero direction and tensoring with wedge* Z^1 must reproduce the direct
+        # two-variable cohomology exactly.
         swap = [[0, 1], [1, 0]]
         ident = [[1, 0], [0, 1]]
         full = free_datum(2, 0, [(swap, []), (ident, [])])
         reduced = free_datum(2, 0, [(swap, [])])
         direct = datum_cohomology(full)
-        predicted = convolve_with_exterior(datum_cohomology(reduced), 1)
-        assert direct == predicted
+        assert direct == _tensor_with_exterior(datum_cohomology(reduced), 1)
+
+
+def _tensor_with_exterior(spot_groups, z):
+    """Spot d collects C(z, d - i) unshifted copies of spot i: tensoring with wedge* Z^z."""
+    return [split_sum((g, 0, comb(z, d - i)) for i, g in enumerate(spot_groups) if 0 <= d - i <= z)
+            for d in range(len(spot_groups) + z)]
 
 
 class TestGenericRank:

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from sympy import Matrix
 
+from pvtower import koszul
 from pvtower.abgroup import FGAbelianGroup, GradedGroup, IntMatrix, split_sum
 from pvtower.koszul import (
     GradedEndo,
@@ -16,6 +17,7 @@ from pvtower.koszul import (
     Presentation,
     build_datum,
     datum_cohomology,
+    datum_spot_cohomology,
     datum_spot_kernel,
 )
 from pvtower.tower import (
@@ -233,6 +235,26 @@ def _hidden_zero_datum():
 def test_zero_directions_are_found_per_parity():
     assert build_datum(_hidden_zero_datum()).zeros == {"even": 2, "odd": 0}
     assert build_datum(noncommuting_datum(4)).zeros == {"even": 0, "odd": 0}
+
+
+def _raise_on_call(*args):
+    raise AssertionError("cokernel called after build_datum")
+
+
+@pytest.mark.parametrize("datum", [
+    _hidden_zero_datum(),
+    noncommuting_datum(4),
+    ModuleDatum(Presentation.free(1), Presentation.free(1),
+                (GradedEndo(IntMatrix.identity(1), IntMatrix.identity(1)),) * 10),
+], ids=["hidden-zero", "noncommuting-mod4", "trivial-n10"])
+def test_spot_groups_make_no_elimination(datum, monkeypatch):
+    # build_datum eliminates each built spot once; every spot of the full
+    # complex, cohomology or level kernel, is then a sum of those groups.
+    cx = build_datum(datum)
+    monkeypatch.setattr(koszul, "cokernel", _raise_on_call)
+    for d in range(cx.n + 1):
+        datum_spot_cohomology(cx, d)
+        datum_spot_kernel(cx, d)
 
 
 @given(st.one_of(_cyclic_power_datum(), _lifted_datum()))
