@@ -19,10 +19,10 @@ of free groups, T_d = P_d + Q_(d-1) with P_d the spot and Q_d = Z^(C(n, d) r),
 which maps onto the Koszul complex of the quotient groups with the cone
 of the identity of Q as kernel; :class:`DatumComplex` gives d', h and
 the formulas for cohomology and level kernels.  Each delta_d is written
-and eliminated as sparse {column: value} rows (``DatumComplex.deltas``),
-over the directions whose 1 - beta_i does not act as 0 on the parity;
-the same pass reads each built spot's homology and level kernel, and a
-spot of the full complex is a binomial sum of those.
+as sparse {column: value} rows over the directions whose 1 - beta_i does
+not act as 0 on the parity, eliminated for the homology and level kernel
+at spot d - 1, its target, and dropped before delta_(d+1) is built; a
+spot of the full complex is a binomial sum of those built spots.
 
 Neither builder multiplies differentials: symbolic d d = 0 is the sign
 rule of ``contraction_terms``, which the tests check, and datum d d = B h
@@ -274,21 +274,15 @@ class DatumComplex:
     built over the n' directions that act on the parity's quotient group,
     which still commute modulo B; the ``zeros[parity]`` = n - n' others act
     as 0, tensoring the Koszul complex with wedge* Z^(n - n') under d = 0.
-    ``deltas[parity][j-1]`` holds delta_j (j = 1..n'+1) as sparse rows, one
-    {column: value} map per row; ``homology[parity][d]`` and
-    ``kernels[parity][d]`` hold H_d and the kernel of d_d of the built
-    complex (d = 0..n').
+    ``homology[parity][d]`` and ``kernels[parity][d]`` hold H_d and the
+    kernel of d_d of the built complex (d = 0..n'), read off delta_(d+1)
+    and rk delta_d; no delta_j is kept.  ``n`` is the datum's.
     """
 
-    datum: ModuleDatum
-    deltas: dict[str, tuple[list[dict[int, int]], ...]]
+    n: int
     homology: dict[str, tuple[FGAbelianGroup, ...]]
     kernels: dict[str, tuple[FGAbelianGroup, ...]]
     zeros: dict[str, int]
-
-    @property
-    def n(self) -> int:
-        return self.datum.n
 
 
 def build_symbolic(v: Covector) -> SymbolicComplex:
@@ -346,7 +340,7 @@ def _total_differential(n: int, j: int, g: int, r: int, terms: list, pairs: dict
 
 def build_datum(datum: ModuleDatum) -> DatumComplex:
     """The free total complex of a module datum, with the homology and level kernel at each spot."""
-    terms, pairs, deltas, homology, kernels, zeros = {}, {}, {}, {}, {}, {}
+    terms, pairs, homology, kernels, zeros = {}, {}, {}, {}, {}
     for parity in PARITIES:
         basis, rhos, commutators = datum.lattice_action[parity]
         g, r = basis.rows, basis.cols
@@ -369,20 +363,22 @@ def build_datum(datum: ModuleDatum) -> DatumComplex:
                   {(index[a], index[b]): _nonzeros(c) for (a, b), c in commutators.items()
                    if a in index and b in index},
                   [_nonzeros(IntMatrix.identity(r) - rhos[i]) for i in kept if rhos])
-        deltas[parity] = tuple(_total_differential(n, j, g, r, terms[n], pairs.get(n), *blocks)
-                               for j in range(1, n + 2))
         # Spot i reads coker delta_(i+1) and coker iota_i, the Q_i columns of
-        # delta_(i+1), each less rk delta_i (delta_0 = 0).
+        # delta_(i+1), each less rk delta_i (delta_0 = 0).  With no P columns
+        # (always at i = n', and everywhere when g = 0), iota_i is delta_(i+1).
         read, rank_in = [], 0
-        for i, rows in enumerate(deltas[parity]):
+        for i in range(n + 1):
+            rows = _total_differential(n, i + 1, g, r, terms[n], pairs.get(n), *blocks)
             left = comb(n, i + 1) * g
             quotient = cokernel(rows)
-            iota = cokernel([{c: x for c, x in row.items() if c >= left} for row in rows])
+            iota = cokernel([{c: x for c, x in row.items() if c >= left}
+                             for row in rows]) if left else quotient
             read.append((FGAbelianGroup(quotient.free_rank - rank_in, quotient.torsion),
                          FGAbelianGroup(iota.free_rank - rank_in, iota.torsion)))
             rank_in = len(rows) - quotient.free_rank
+            del rows  # before delta_(i+2) is built
         homology[parity], kernels[parity] = map(tuple, zip(*read))
-    return DatumComplex(datum, deltas, homology, kernels, zeros)
+    return DatumComplex(datum.n, homology, kernels, zeros)
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from sympy import Matrix
 
+from pvtower import koszul
 from pvtower.abgroup import (
     FGAbelianGroup,
     GradedGroup,
@@ -19,6 +20,7 @@ from pvtower.abgroup import (
 )
 from pvtower.exterior import Covector
 from pvtower.koszul import (
+    PARITIES,
     DatumError,
     GradedEndo,
     ModuleDatum,
@@ -59,12 +61,31 @@ def noncommuting_datum(m=2):
     return ModuleDatum(pres, Presentation.free(0), (GradedEndo(b1, empty), GradedEndo(b2, empty)))
 
 
-def total_matrix(cx, parity, j):
-    """delta_j of the complex ``build_datum`` built for one parity, as an IntMatrix."""
-    kept, basis = len(cx.deltas[parity]) - 1, cx.datum.lattice_action[parity][0]
-    cols = comb(kept, j) * basis.rows + comb(kept, j - 1) * basis.cols
-    return IntMatrix.from_rows([[row.get(c, 0) for c in range(cols)]
-                                for row in cx.deltas[parity][j - 1]], cols)
+def built_deltas(datum):
+    """build_datum(datum), and per parity the delta_j it builds, in order, as IntMatrix.
+
+    build_datum keeps no delta_j, so each is recorded as
+    ``koszul._total_differential`` returns it; j = 1 starts the next parity.
+    """
+    built, real = [], koszul._total_differential
+
+    def recording(n, j, g, r, *blocks):
+        rows = real(n, j, g, r, *blocks)
+        if j == 1:
+            built.append([])
+        assert j == len(built[-1]) + 1  # each delta_j once, in order
+        cols = comb(n, j) * g + comb(n, j - 1) * r
+        assert all(0 <= c < cols for row in rows for c in row)
+        built[-1].append(IntMatrix.from_rows([[row.get(c, 0) for c in range(cols)]
+                                              for row in rows], cols))
+        return rows
+
+    koszul._total_differential = recording
+    try:
+        cx = build_datum(datum)
+    finally:
+        koszul._total_differential = real
+    return cx, dict(zip(PARITIES, built, strict=True))
 
 
 class TestSymbolic:
@@ -89,10 +110,10 @@ class TestSymbolic:
         # only when the signs are right.  No direction acts as 0 and the even
         # part is free, so its built delta_j is the whole d_j.
         for n in range(1, 9):
-            cx = build_datum(free_datum(1, 0, [([[i + 1]], []) for i in range(1, n + 1)]))
+            cx, deltas = built_deltas(free_datum(1, 0, [([[i + 1]], []) for i in range(1, n + 1)]))
             assert cx.zeros == {"even": 0, "odd": 0}
             for j in range(1, n):
-                d_j, d_next = total_matrix(cx, "even", j), total_matrix(cx, "even", j + 1)
+                d_j, d_next = deltas["even"][j - 1], deltas["even"][j]
                 assert (d_j.rows, d_j.cols) == (comb(n, j - 1), comb(n, j))
                 prod = d_j @ d_next
                 assert prod == IntMatrix.zeros(prod.rows, prod.cols), (n, j)
@@ -102,22 +123,22 @@ class TestDatum:
     def test_identity_action_rank_one(self):
         # d_1 = 0: the direction is split off and the even complex is Z alone.
         datum = free_datum(1, 0, [([[1]], [])])
-        cx = build_datum(datum)
+        cx, deltas = built_deltas(datum)
         assert cx.zeros == {"even": 1, "odd": 0}
-        assert cx.deltas["even"] == ([{}],)
+        assert deltas["even"] == [IntMatrix.zeros(1, 0)]
         assert [g.even for g in datum_cohomology(datum)] == [Z(1), Z(1)]
 
     def test_negation_action_gives_two(self):
         datum = free_datum(1, 0, [([[-1]], [])])
-        cx = build_datum(datum)
+        cx, deltas = built_deltas(datum)
         assert cx.zeros == {"even": 0, "odd": 0}
-        assert total_matrix(cx, "even", 1).entries == ((2,),)
+        assert deltas["even"][0].entries == ((2,),)
 
     def test_rank_two_identity_cohomology_is_exterior_algebra(self):
         datum = free_datum(1, 0, [([[1]], []), ([[1]], [])])
-        cx = build_datum(datum)
+        cx, deltas = built_deltas(datum)
         assert cx.zeros == {"even": 2, "odd": 0}
-        assert cx.deltas["even"] == ([{}],)
+        assert deltas["even"] == [IntMatrix.zeros(1, 0)]
         groups = datum_cohomology(datum)
         assert [g.even for g in groups] == [Z(1), Z(2), Z(1)]
         assert all(g.odd.is_trivial for g in groups)
@@ -126,9 +147,9 @@ class TestDatum:
         # Every beta_i = 1 on (Z, Z): both parities split all 16 directions off,
         # build one delta each, and spot d carries C(16, d) copies of Z.
         datum = free_datum(1, 1, [([[1]], [[1]])] * 16)
-        cx = build_datum(datum)
+        cx, deltas = built_deltas(datum)
         assert cx.zeros == {"even": 16, "odd": 16}
-        assert [len(cx.deltas[p]) for p in ("even", "odd")] == [1, 1]
+        assert [len(deltas[p]) for p in ("even", "odd")] == [1, 1]
         groups = datum_cohomology(datum)
         assert groups == [GradedGroup(Z(comb(16, d)), Z(comb(16, d))) for d in range(17)]
 

@@ -1,7 +1,9 @@
 """Rank-one PV, full tower assembly, iterated oracle, structural shapes."""
 
 import itertools
+import json
 import random
+from collections import Counter
 from math import gcd
 
 import hypothesis.strategies as st
@@ -29,7 +31,8 @@ from pvtower.tower import (
 
 import cycle_lattice_oracle as oracle
 from rank1_oracle import iterate_rank1
-from test_koszul import noncommuting_datum, total_matrix
+from test_golden import read_input
+from test_koszul import built_deltas, noncommuting_datum
 
 Z = FGAbelianGroup.free
 T = FGAbelianGroup.trivial
@@ -257,6 +260,59 @@ def test_spot_groups_make_no_elimination(datum, monkeypatch):
         datum_spot_kernel(cx, d)
 
 
+class _Announced(tuple):
+    """The parities, holding in ``current`` the one a loop over them has reached."""
+
+    current = None
+
+    def __iter__(self):
+        for parity in super().__iter__():
+            self.current = parity
+            yield parity
+
+
+@pytest.mark.parametrize("datum", [
+    noncommuting_datum(4),
+    _hidden_zero_datum(),
+    ModuleDatum.from_json_dict(json.loads(read_input("tower_acyclic_n8"))["datum"]),
+], ids=["noncommuting-mod4", "hidden-zero", "acyclic-n8"])
+def test_build_datum_eliminates_no_rows_twice(datum, monkeypatch):
+    # Within one parity's pass no cokernel call receives the rows of an earlier
+    # call, and each delta_j is eliminated once: iota_(n') is all of
+    # delta_(n'+1), so it is read off the homology's elimination.  Calls are
+    # keyed by parity, because a datum may repeat one parity in the other (the
+    # acyclic one does).  Rows without entries eliminate nothing, and a free
+    # parity's iota_i are such rows, alike for i and n' - i; they are counted
+    # only as the rows of a delta_j built before the call.
+    parities, seen = _Announced(koszul.PARITIES), set()
+    built, eliminated = Counter(), Counter()
+    real_cokernel, real_delta = koszul.cokernel, koszul._total_differential
+
+    def key(rows):
+        return parities.current, tuple(tuple(sorted((c, x) for c, x in row.items() if x))
+                                       for row in rows)
+
+    def building(*args):
+        rows = real_delta(*args)
+        built[key(rows)] += 1
+        return rows
+
+    def eliminating(m):
+        k = key([dict(enumerate(row)) for row in m.entries] if isinstance(m, IntMatrix) else m)
+        if any(k[1]):
+            assert k not in seen, f"{k[0]} rows eliminated twice"
+            seen.add(k)
+        if k in built:
+            eliminated[k] += 1
+        return real_cokernel(m)
+
+    monkeypatch.setattr(koszul, "PARITIES", parities)
+    monkeypatch.setattr(koszul, "_total_differential", building)
+    monkeypatch.setattr(koszul, "cokernel", eliminating)
+    build_datum(datum)
+    assert eliminated == built
+
+
 @given(st.one_of(_cyclic_power_datum(), _lifted_datum()))
 @example(noncommuting_datum())
 @example(noncommuting_datum(4))
@@ -265,14 +321,14 @@ def test_total_complex_closes_and_ends_injective(datum):
     # of the complex build_datum eliminates, over the n' directions that act,
     # compose to zero exactly, and the last one, [B; -d'_n'], has full column
     # rank, so that complex has no homology above spot n'.
-    cx = build_datum(datum)
+    cx, deltas = built_deltas(datum)
     for parity in ("even", "odd"):
-        kept = len(cx.deltas[parity]) - 1
+        kept = len(deltas[parity]) - 1
         assert kept + cx.zeros[parity] == cx.n
         for j in range(2, kept + 2):
-            prod = total_matrix(cx, parity, j - 1) @ total_matrix(cx, parity, j)
+            prod = deltas[parity][j - 2] @ deltas[parity][j - 1]
             assert prod == IntMatrix.zeros(prod.rows, prod.cols)
-        last = total_matrix(cx, parity, kept + 1)
+        last = deltas[parity][kept]
         flat = [x for row in last.entries for x in row]
         assert Matrix(last.rows, last.cols, flat).rank() == last.cols
 
